@@ -8,7 +8,9 @@ build:
 test:
 	$(GO) test ./...
 
-# The strict gate: vet (including the incremental-build and benchjson
+# The strict gate: a guard that internal/durable stays the one
+# atomic-file writer (no other non-test Go file outside perfbench/
+# calls os.CreateTemp or os.Rename); vet (including the incremental-build and benchjson
 # packages); the telemetry registry and tracer hammered under the race
 # detector; the artifact-store, unit-cache, and parallel-build race
 # tests plus both create determinism guards under the race detector;
@@ -48,6 +50,9 @@ test:
 # required to find client and server spans sharing one trace id with a
 # parent/child link across the two processes in /fleet/trace.
 check:
+	@bad=$$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=perfbench --exclude-dir=.bench_build 'os\.(CreateTemp|Rename)\b' . | grep -v '^\./internal/durable/'); \
+	if [ -n "$$bad" ]; then echo "check: os.CreateTemp/os.Rename outside internal/durable (use durable.WriteFile):" $$bad; exit 1; fi; \
+	echo "check: internal/durable is the only atomic-file writer"
 	$(GO) vet ./...
 	$(GO) test -race ./internal/telemetry
 	$(GO) test -race -run 'UnitCache|CreateUpdateDeterministic|DiskWarmStart|EvictionUnderPressure|BuildParallel|Concurrent|Corrupt|GC' ./internal/srctree ./internal/core ./internal/store

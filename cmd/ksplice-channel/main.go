@@ -50,6 +50,7 @@ import (
 	"gosplice/internal/core"
 	"gosplice/internal/crashpoint"
 	"gosplice/internal/cvedb"
+	"gosplice/internal/durable"
 	_ "gosplice/internal/eval" // expose the gosplice_eval_* families on /metrics
 	"gosplice/internal/simstate"
 	"gosplice/internal/srctree"
@@ -347,7 +348,7 @@ func doSubscribe(dir, url, statePath, verifyKeyPath string, noPrebuilt bool, tim
 		}
 		cfg.OnApplied = func(e channel.Entry, b []byte) error {
 			path := filepath.Join(local, filepath.Base(e.File))
-			if err := writeFileAtomic(path, b); err != nil {
+			if err := durable.WriteFile(path, b, 0o644, nil, "", ""); err != nil {
 				return err
 			}
 			rel, err := filepath.Rel(stateDir, path)
@@ -457,34 +458,6 @@ func loadMachineState(ctx context.Context, tr channel.Transport, statePath strin
 		return nil, rerr
 	}
 	return st, nil
-}
-
-// writeFileAtomic writes b to path durably: temp file in the same
-// directory, fsync, atomic rename — a subscriber killed mid-write never
-// leaves a torn tarball in its channel cache.
-func writeFileAtomic(path string, b []byte) error {
-	f, err := os.CreateTemp(filepath.Dir(path), ".tmp-cache-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	_, err = f.Write(b)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Chmod(tmp, 0o644)
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-	}
-	return err
 }
 
 func fatal(err error) {

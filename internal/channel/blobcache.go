@@ -5,20 +5,19 @@ package channel
 // holds the previous position's tarball and image, so the next
 // position's bytes reconstruct from a delta instead of a full fetch.
 // Everything in the cache was digest-verified before Put, and the
-// directory implementation re-verifies on Get, so a cache can never
-// inject bytes the manifest did not promise.
+// directory implementation re-verifies what it stores and what it reads
+// back from disk, so a cache can never inject bytes the manifest did not
+// promise.
 
 import (
 	"encoding/hex"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
+	"errors"
+	"fmt"
 	"sync"
-	"time"
 
 	"gosplice/internal/core"
 	"gosplice/internal/crashpoint"
+	"gosplice/internal/store"
 )
 
 // BlobCache stores verified blobs by hex sha256 digest.
@@ -53,25 +52,29 @@ func (c memBlobCache) Put(digest string, b []byte) {
 // does not grow its cache without limit.
 const DefaultBlobCacheBytes = 64 << 20
 
-// DirBlobCache persists blobs as files named by digest, so a machine's
-// delta bases survive across subscribes (and processes): the tarball it
-// verified last month is next month's delta base.
+// DirBlobCache persists blobs in a disk-backed artifact store (see
+// internal/store) keyed by digest, so a machine's delta bases survive
+// across subscribes (and processes): the tarball it verified last month
+// is next month's delta base. The store does all the file work — atomic
+// durable writes, the open-time temp sweep, mtime refresh on disk reads —
+// and its memory tier, capped like the disk, serves repeat reads.
 //
 // The cache is capped (see NewDirBlobCacheMax): when a Put pushes the
-// directory past the cap, the oldest blobs are evicted, least recently
-// used first — except blobs this process has touched, which are never
-// evicted, borrowing the artifact store GC's protection rule so a sweep
-// cannot pull a delta base out from under the subscribe that is about
-// to use it.
+// disk tier past the cap, the store's GC evicts the oldest blobs, least
+// recently used first — except blobs this process has touched, which
+// are never evicted, so a sweep cannot pull a delta base out from under
+// the subscribe that is about to use it.
 type DirBlobCache struct {
-	dir      string
+	st       *store.Store
 	maxBytes int64
 	crash    crashpoint.Hook
 
 	mu sync.Mutex
-	// touched records digests this process read or wrote; eviction
-	// spares them.
-	touched map[string]bool
+	// used is the disk tier's size as of the last sweep plus the raw
+	// bytes put since (an overestimate: the store may compress); a Put
+	// sweeps only when it passes the cap, since a sweep walks the whole
+	// directory. Other processes' writes are counted at the next sweep.
+	used int64
 }
 
 // SetCrashHook installs the cache's crash-point hook (nil falls back
@@ -85,29 +88,26 @@ func NewDirBlobCache(dir string) (*DirBlobCache, error) {
 	return NewDirBlobCacheMax(dir, DefaultBlobCacheBytes)
 }
 
-// NewDirBlobCacheMax opens a blob cache capped at maxBytes of cached
+// NewDirBlobCacheMax opens a blob cache capped at maxBytes of stored
 // blob bytes (<= 0 means unbounded). Stray temp files from crashed
 // writers are swept on open.
 func NewDirBlobCacheMax(dir string, maxBytes int64) (*DirBlobCache, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	c := &DirBlobCache{maxBytes: maxBytes}
+	st, err := store.New(store.Options{
+		Dir:      dir,
+		MaxBytes: maxBytes,
+		Crash:    func(label string) { crashpoint.Fire(c.crash, label) },
+	})
+	if err != nil {
 		return nil, err
 	}
-	c := &DirBlobCache{dir: dir, maxBytes: maxBytes, touched: map[string]bool{}}
-	if ents, err := os.ReadDir(dir); err == nil {
-		for _, e := range ents {
-			// Both this cache's ".tmp-*" names and the legacy ".tmp"
-			// suffix. (The suffix check alone matched nothing CreateTemp
-			// produces, so crashed writers used to leak temp files.)
-			if strings.HasPrefix(e.Name(), ".tmp") || strings.HasSuffix(e.Name(), ".tmp") {
-				os.Remove(filepath.Join(dir, e.Name()))
-			}
-		}
-	}
+	c.st = st
+	_, c.used = st.DiskUsage()
 	return c, nil
 }
 
-// validDigest guards the digest-as-filename mapping: only a 64-char hex
-// string names a cache file, so no digest can traverse paths.
+// validDigest guards the digest-as-key mapping: only a 64-char hex
+// string names a cached blob, so no digest can traverse paths.
 func validDigest(digest string) bool {
 	if len(digest) != 64 {
 		return false
@@ -116,130 +116,60 @@ func validDigest(digest string) bool {
 	return err == nil
 }
 
-// touch protects digest from eviction for the rest of this process and
-// (best effort) refreshes its file's mtime, so age-ordered eviction —
-// here and in other processes sharing the directory — sees it as
-// recently used.
-func (c *DirBlobCache) touch(digest string) {
-	c.mu.Lock()
-	c.touched[digest] = true
-	c.mu.Unlock()
-	now := time.Now()
-	os.Chtimes(filepath.Join(c.dir, digest), now, now)
+var errBlobMiss = errors.New("channel: blob not cached")
+
+// blobKind is the store Kind of the blob named digest: raw bytes whose
+// decoder re-checks TarDigest(b) == digest. Every byte entering the
+// cache — a Put or a disk read — passes it, so a blob rotted or
+// misfiled on disk degrades to a miss (and a full fetch), never to
+// bytes the manifest did not promise.
+func blobKind(digest string) store.Kind {
+	return store.Kind{
+		Name:   "blob",
+		Size:   func(v any) int64 { return int64(len(v.([]byte))) },
+		Encode: func(v any) ([]byte, error) { return v.([]byte), nil },
+		Decode: func(b []byte) (any, error) {
+			if got, _ := core.TarDigest(b); got != digest {
+				return nil, fmt.Errorf("channel: cached blob does not match digest %s", digest)
+			}
+			return b, nil
+		},
+	}
 }
 
-// Get re-verifies the file against its name before returning it — a
-// blob rotted on disk silently degrades to a cache miss (and a full
-// fetch), never to corrupt bytes.
+// Get returns the blob verified against digest, or ok=false.
 func (c *DirBlobCache) Get(digest string) ([]byte, bool) {
 	if !validDigest(digest) {
 		return nil, false
 	}
-	b, err := os.ReadFile(filepath.Join(c.dir, digest))
+	v, _, err := c.st.GetOrFill(digest, blobKind(digest), func() (any, error) { return nil, errBlobMiss })
 	if err != nil {
 		return nil, false
 	}
-	if got, _ := core.TarDigest(b); got != digest {
-		os.Remove(filepath.Join(c.dir, digest))
-		return nil, false
-	}
-	c.touch(digest)
-	return b, true
+	return v.([]byte), true
 }
 
 // Put is best-effort: a cache write failure costs bandwidth later, not
-// correctness now. A Put that pushes the cache past its cap evicts the
-// least recently used unprotected blobs. The write is temp file +
-// fsync + atomic rename, with crash points on either side of the
-// rename: a writer killed mid-Put leaves either a swept-on-open temp
-// file or a complete, verifiable blob — never a torn one under the
-// digest name.
+// correctness now. The store writes the blob durably, with its
+// store.disk.write.* crash points on either side of the rename, so a
+// writer killed mid-Put leaves either a swept-on-open temp file or a
+// complete, verifiable blob. A Put that pushes the cache past its cap
+// evicts the least recently used unprotected blobs.
 func (c *DirBlobCache) Put(digest string, b []byte) {
 	if !validDigest(digest) {
 		return
 	}
-	path := filepath.Join(c.dir, digest)
-	tmp, err := os.CreateTemp(c.dir, ".tmp-*")
-	if err != nil {
+	if _, err := c.st.Put(digest, blobKind(digest), append([]byte(nil), b...)); err != nil {
 		return
 	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	os.Chmod(tmp.Name(), 0o644)
-	crashpoint.Fire(c.crash, cpBlobPutTmp)
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	crashpoint.Fire(c.crash, cpBlobPutDone)
-	c.touch(digest)
-	c.gc()
-}
-
-// gc sweeps the cache down to the byte cap, oldest mtime first (name as
-// the deterministic tie-break). Blobs touched by this process are never
-// evicted — protection is re-checked under the lock immediately before
-// each removal, so a blob read while the sweep runs is spared.
-func (c *DirBlobCache) gc() {
 	if c.maxBytes <= 0 {
 		return
 	}
-	type victim struct {
-		digest string
-		size   int64
-		mtime  time.Time
-	}
-	ents, err := os.ReadDir(c.dir)
-	if err != nil {
-		return
-	}
-	var total int64
-	var victims []victim
-	for _, e := range ents {
-		if !validDigest(e.Name()) {
-			continue
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.used += int64(len(b)); c.used > c.maxBytes {
+		if res, err := c.st.GC(c.maxBytes); err == nil {
+			c.used = res.ScannedBytes - res.FreedBytes
 		}
-		fi, err := e.Info()
-		if err != nil {
-			continue
-		}
-		total += fi.Size()
-		victims = append(victims, victim{digest: e.Name(), size: fi.Size(), mtime: fi.ModTime()})
-	}
-	if total <= c.maxBytes {
-		return
-	}
-	sort.Slice(victims, func(i, j int) bool {
-		if !victims[i].mtime.Equal(victims[j].mtime) {
-			return victims[i].mtime.Before(victims[j].mtime)
-		}
-		return victims[i].digest < victims[j].digest
-	})
-	for _, v := range victims {
-		if total <= c.maxBytes {
-			break
-		}
-		c.mu.Lock()
-		protected := c.touched[v.digest]
-		c.mu.Unlock()
-		if protected {
-			continue
-		}
-		if err := os.Remove(filepath.Join(c.dir, v.digest)); err != nil {
-			continue
-		}
-		total -= v.size
 	}
 }

@@ -41,6 +41,7 @@ import (
 	"gosplice/internal/codegen"
 	"gosplice/internal/core"
 	"gosplice/internal/diffutil"
+	"gosplice/internal/durable"
 	"gosplice/internal/kernel"
 	"gosplice/internal/srctree"
 )
@@ -353,7 +354,7 @@ func (p *Publisher) writeBlob(payload []byte) (digest string, size int64, err er
 	if err := os.MkdirAll(filepath.Join(p.Dir, blobsDirName), 0o755); err != nil {
 		return "", 0, err
 	}
-	if err := writeFileAtomic(path, payload); err != nil {
+	if err := durable.WriteFile(path, payload, 0o644, nil, "", ""); err != nil {
 		return "", 0, err
 	}
 	return digest, size, nil
@@ -403,7 +404,7 @@ func (p *Publisher) Publish(name, cve, patchText string) (*core.Update, error) {
 		return nil, err
 	}
 	file := u.Name + ".tar"
-	if err := writeFileAtomic(filepath.Join(p.Dir, file), b); err != nil {
+	if err := durable.WriteFile(filepath.Join(p.Dir, file), b, 0o644, nil, "", ""); err != nil {
 		return nil, err
 	}
 	next, err := p.tree.Patch(patchText)
@@ -472,47 +473,7 @@ func (p *Publisher) writeManifest() error {
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(filepath.Join(p.Dir, manifestName), append(b, '\n'))
-}
-
-// writeFileAtomic writes b to path via a temp file in the same
-// directory — fsynced before the rename, so the rename never installs
-// a file whose bytes are still in flight — and a rename, so readers
-// (and crash recovery) never observe a partial file. The ".tmp-"
-// prefix is what NewPublisher sweeps on resume.
-func writeFileAtomic(path string, b []byte) error {
-	return writeFileAtomicMode(path, b, 0o644)
-}
-
-func writeFileAtomicMode(path string, b []byte, mode os.FileMode) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Chmod(tmp.Name(), mode); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	return durable.WriteFile(filepath.Join(p.Dir, manifestName), append(b, '\n'), 0o644, nil, "", "")
 }
 
 // ReadManifest loads and verifies a channel directory's manifest.

@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"os"
 	"strings"
+
+	"gosplice/internal/durable"
 )
 
 // SignKey is a channel signing key (an ed25519 private key).
@@ -85,10 +87,10 @@ func ParseVerifyKeyHex(s string) (VerifyKey, error) {
 // path+".pub", each via an fsynced atomic rename — a keygen killed
 // mid-write never leaves a torn key file.
 func WriteSignKey(path string, k SignKey) error {
-	if err := writeFileAtomicMode(path, []byte(hex.EncodeToString(k)+"\n"), 0o600); err != nil {
+	if err := durable.WriteFile(path, []byte(hex.EncodeToString(k)+"\n"), 0o600, nil, "", ""); err != nil {
 		return err
 	}
-	return writeFileAtomic(path+".pub", []byte(k.PublicHex()+"\n"))
+	return durable.WriteFile(path+".pub", []byte(k.PublicHex()+"\n"), 0o644, nil, "", "")
 }
 
 // LoadSignKey reads a signing key written by WriteSignKey.

@@ -14,8 +14,8 @@ package channel
 // or verify and everything after it (a torn tail), and a journal whose
 // very first record is bad degrades to "re-derive from the kernel" —
 // position zero — rather than failing the subscribe. Compaction
-// rewrites the file as one rebase record via temp file + fsync +
-// atomic rename, the same discipline the store's disk tier uses.
+// rewrites the file as one rebase record through durable.WriteFile,
+// the writer every persisted file in the tree shares.
 //
 // Crash points (internal/crashpoint) are threaded through every write
 // so the sweep tests can kill a subscriber at each persistence step
@@ -29,10 +29,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 
 	"gosplice/internal/crashpoint"
+	"gosplice/internal/durable"
 )
 
 // journalName is the journal's file name inside a client state dir.
@@ -56,8 +56,6 @@ var (
 	cpJournalAppendSynced = crashpoint.L("channel.journal.append.synced")
 	cpJournalCompactTmp   = crashpoint.L("channel.journal.compact.tmp")
 	cpJournalCompactDone  = crashpoint.L("channel.journal.compact.renamed")
-	cpBlobPutTmp          = crashpoint.L("channel.blobcache.put.tmp")
-	cpBlobPutDone         = crashpoint.L("channel.blobcache.put.renamed")
 )
 
 // journalRecord is one JSONL journal line.
@@ -151,11 +149,9 @@ func OpenClientState(stateDir string, crash crashpoint.Hook) (*ClientState, Reco
 		return nil, Recovery{}, err
 	}
 	// Sweep temp files a compaction crash left behind.
-	if ents, err := os.ReadDir(stateDir); err == nil {
-		for _, e := range ents {
-			if strings.HasPrefix(e.Name(), ".tmp-journal") {
-				os.Remove(filepath.Join(stateDir, e.Name()))
-			}
+	if strays, err := filepath.Glob(filepath.Join(stateDir, durable.TempPrefix(journalName)+"*")); err == nil {
+		for _, stray := range strays {
+			os.Remove(stray)
 		}
 	}
 	s := &ClientState{path: JournalPath(stateDir), crash: crash}
@@ -165,6 +161,7 @@ func OpenClientState(stateDir string, crash crashpoint.Hook) (*ClientState, Reco
 	if err != nil && !os.IsNotExist(err) {
 		return nil, Recovery{}, err
 	}
+	created := os.IsNotExist(err)
 	good := 0 // byte offset past the last trusted record
 	rest := b
 	for len(rest) > 0 {
@@ -229,6 +226,14 @@ func OpenClientState(stateDir string, crash crashpoint.Hook) (*ClientState, Reco
 	f, err := os.OpenFile(s.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, Recovery{}, err
+	}
+	if created {
+		// Make the new journal's directory entry durable, or a power
+		// loss after its first synced record could lose the whole file.
+		if err := durable.SyncDir(stateDir); err != nil {
+			f.Close()
+			return nil, Recovery{}, err
+		}
 	}
 	s.f = f
 	rec.Position = s.pos
@@ -333,8 +338,8 @@ func (s *ClientState) Rebase(pos int, kver string) error {
 }
 
 // compact rewrites the journal as one rebase record carrying the
-// current position: temp file, fsync, atomic rename, then the append
-// handle moves to the new file. Callers hold s.mu. A crash before the
+// current position through durable.WriteFile, then the append handle
+// moves to the new file. Callers hold s.mu. A crash before the
 // rename leaves the old journal authoritative; after it, the new one.
 func (s *ClientState) compact() error {
 	r := journalRecord{Op: "rebase", Pos: s.pos, Kver: s.kver}
@@ -343,35 +348,9 @@ func (s *ClientState) compact() error {
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(s.path)
-	tmp, err := os.CreateTemp(dir, ".tmp-journal-*")
-	if err != nil {
+	if err := durable.WriteFile(s.path, append(b, '\n'), 0o644, s.crash, cpJournalCompactTmp, cpJournalCompactDone); err != nil {
 		return err
 	}
-	if _, err := tmp.Write(append(b, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	crashpoint.Fire(s.crash, cpJournalCompactTmp)
-	if err := os.Rename(tmp.Name(), s.path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	crashpoint.Fire(s.crash, cpJournalCompactDone)
 	f, err := os.OpenFile(s.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return err

@@ -18,6 +18,7 @@ import (
 	"gosplice/internal/core"
 	"gosplice/internal/crashpoint"
 	"gosplice/internal/cvedb"
+	"gosplice/internal/durable"
 	"gosplice/internal/kernel"
 	"gosplice/internal/srctree"
 )
@@ -87,44 +88,15 @@ func LoadOrRederive(path, version string) (*State, error) {
 	return fresh, &CorruptError{Path: path, Err: err}
 }
 
-// Save writes the state file durably: temp file in the same directory,
-// fsync, atomic rename — a tool killed mid-save leaves either the old
-// state or the new one, never a torn file.
+// Save writes the state file durably through durable.WriteFile — a tool
+// killed mid-save leaves either the old state or the new one, never a
+// torn file.
 func (st *State) Save(path string) error {
 	b, err := json.MarshalIndent(st, "", "  ")
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-state-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(append(b, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	crashpoint.Fire(nil, cpSaveTmp)
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	crashpoint.Fire(nil, cpSaveDone)
-	return nil
+	return durable.WriteFile(path, append(b, '\n'), 0o644, nil, cpSaveTmp, cpSaveDone)
 }
 
 // New creates a fresh state for a release.

@@ -12,9 +12,9 @@
 //	<dir>/objects/ab/cdef...
 //
 // where ab/cdef... splits the hex key git-style. Disk entries are written
-// atomically (temp file + rename), flate-compressed when that shrinks
-// them (a format byte keeps old raw caches readable), and carry a
-// checksum of the stored body; a truncated, bit-flipped, or otherwise
+// atomically (durable.WriteFile: temp file, rename, directory fsync),
+// flate-compressed when that shrinks them (a format byte keeps old raw
+// caches readable), and carry a checksum of the stored body; a truncated, bit-flipped, or otherwise
 // unreadable entry is treated as a miss — the artifact is recomputed,
 // never served corrupt. GC sweeps the disk tier down to a byte budget,
 // oldest entries first, without ever evicting an entry the sweeping
@@ -50,6 +50,7 @@ import (
 	"time"
 
 	"gosplice/internal/crashpoint"
+	"gosplice/internal/durable"
 	"gosplice/internal/telemetry"
 )
 
@@ -638,9 +639,9 @@ func (s *Store) dropDisk(key string) {
 func (s *Store) countDiskError() { s.cDiskErrors.Inc() }
 
 // writeDisk persists a freshly filled artifact: encode, compress when
-// that shrinks it, checksum, write to a temp file in the final directory,
-// rename into place. Failures are counted but not returned — the store
-// degrades to memory-only behaviour rather than failing the build.
+// that shrinks it, checksum, and install it with durable.WriteFile.
+// Failures are counted but not returned — the store degrades to
+// memory-only behaviour rather than failing the build.
 func (s *Store) writeDisk(key string, v any, k Kind) {
 	if s.dir == "" || !k.diskable() {
 		return
@@ -664,35 +665,10 @@ func (s *Store) writeDisk(key string, v any, k Kind) {
 	buf = append(buf, diskMagic2[:]...)
 	buf = append(buf, sum[:]...)
 	buf = append(buf, body...)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
+	if err := durable.WriteFile(s.objectPath(key), buf, 0o644, s.crash, cpDiskWriteTmp, cpDiskWriteDone); err != nil {
 		s.countDiskError()
 		return
 	}
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		s.countDiskError()
-		return
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		s.countDiskError()
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		s.countDiskError()
-		return
-	}
-	crashpoint.Fire(s.crash, cpDiskWriteTmp)
-	if err := os.Rename(tmp.Name(), s.objectPath(key)); err != nil {
-		os.Remove(tmp.Name())
-		s.countDiskError()
-		return
-	}
-	crashpoint.Fire(s.crash, cpDiskWriteDone)
 	s.cDiskWrites.Inc()
 	s.cDiskWriteBytes.Add(uint64(len(body)))
 	s.mu.Lock()
@@ -700,14 +676,20 @@ func (s *Store) writeDisk(key string, v any, k Kind) {
 	s.mu.Unlock()
 }
 
+// flaters recycles flate writers: each holds several hundred KB of
+// state, which would otherwise be allocated afresh on every disk write.
+var flaters = sync.Pool{New: func() any {
+	w, _ := flate.NewWriter(nil, flate.BestSpeed)
+	return w
+}}
+
 // deflate compresses b with flate, reporting false when compression does
 // not pay for itself.
 func deflate(b []byte) ([]byte, bool) {
 	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, flate.BestSpeed)
-	if err != nil {
-		return nil, false
-	}
+	w := flaters.Get().(*flate.Writer)
+	defer flaters.Put(w)
+	w.Reset(&buf)
 	if _, err := w.Write(b); err != nil {
 		return nil, false
 	}
