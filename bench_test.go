@@ -512,20 +512,19 @@ func benchSubscribe(b *testing.B, url, version string, nCVEs int, prebuilt bool)
 	b.Helper()
 	prev := srctree.SetStore(store.MustNew(store.Options{}))
 	defer srctree.SetStore(prev)
-	tr := channel.NewHTTPTransport(url, channel.HTTPOptions{})
-	opts := channel.SubscribeOptions{}
+	cfg := channel.ClientConfig{Transport: channel.NewHTTPTransport(url, channel.HTTPOptions{})}
+	if !prebuilt {
+		cfg.Blobs = benchNullBlobs{}
+	}
+	cl, err := channel.NewClient(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
 	if prebuilt {
-		opts.Blobs = channel.NewMemBlobCache()
-		m, err := tr.Manifest(context.Background())
-		if err != nil {
-			b.Fatal(err)
+		if _, st, err := cl.InstallBase(context.Background()); err != nil || st.Failed > 0 {
+			b.Fatalf("install: %+v, %v", st, err)
 		}
-		if st := channel.InstallBasePrebuilt(context.Background(), tr, m, opts.Blobs); st.Failed > 0 {
-			b.Fatalf("install: %+v", st)
-		}
-	} else {
-		opts.NoPrebuilt = true
-		opts.Blobs = benchNullBlobs{}
 	}
 	br, err := srctree.BuildCached(cvedb.Tree(version), codegen.KernelBuild())
 	if err != nil {
@@ -539,7 +538,8 @@ func benchSubscribe(b *testing.B, url, version string, nCVEs int, prebuilt bool)
 	if err != nil {
 		b.Fatal(err)
 	}
-	applied, err := channel.Subscribe(context.Background(), tr, core.NewManager(k), 0, opts)
+	cl.Bind(core.NewManager(k), 0)
+	applied, err := cl.Sync(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -790,11 +790,10 @@ func BenchmarkCrashRecovery(b *testing.B) {
 			b.Fatal(err)
 		}
 		cl, err := channel.NewClient(channel.ClientConfig{
-			Name:       "crash-bench",
-			Transport:  tr,
-			StateDir:   stateDir,
-			Crash:      hook,
-			NoPrebuilt: true,
+			Name:      "crash-bench",
+			Transport: tr,
+			StateDir:  stateDir,
+			Crash:     hook,
 		})
 		if err != nil {
 			b.Fatal(err)

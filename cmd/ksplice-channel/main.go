@@ -385,7 +385,7 @@ func doSubscribe(dir, url, statePath, verifyKeyPath string, noPrebuilt bool, tim
 	// its recorded updates then hit the store instead of the compiler.
 	// Install failures degrade to source builds inside Replay, never to
 	// an error — but a manifest that fails the pinned key is refused
-	// outright, exactly as Subscribe would refuse it.
+	// outright, exactly as Sync would refuse it.
 	if _, is, err := cl.InstallBase(ctx); err == nil {
 		if is.Installed+is.Hits+is.Failed > 0 {
 			fmt.Printf("prebuilt artifacts: %d installed, %d already held, %d falling back to source build\n",

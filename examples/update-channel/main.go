@@ -77,10 +77,18 @@ func main() {
 	mgr := core.NewManager(k)
 	fmt.Printf("machine booted: %s, uptime %d instructions\n", k.Version, k.TotalSteps())
 
-	t := channel.NewHTTPTransport(baseURL, channel.HTTPOptions{
-		Timeout: 5 * time.Second, MaxRetries: 4, Backoff: 10 * time.Millisecond,
+	cl, err := channel.NewClient(channel.ClientConfig{
+		Name: "update-channel",
+		Transport: channel.NewHTTPTransport(baseURL, channel.HTTPOptions{
+			Timeout: 5 * time.Second, MaxRetries: 4, Backoff: 10 * time.Millisecond,
+		}),
 	})
-	applied, err := channel.Subscribe(context.Background(), t, mgr, 0, channel.SubscribeOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer cl.Close()
+	cl.Bind(mgr, 0)
+	applied, err := cl.Sync(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

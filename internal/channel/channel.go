@@ -14,17 +14,18 @@
 // it has applied.
 //
 // Prebuilt channels close the fleet cost model: the publisher exports
-// the compiled units and linked boot image its builds produced (keyed
+// the base release's compiled units and linked boot image (keyed
 // exactly as the build caches key them) plus binary deltas between
-// adjacent positions, so a subscriber fetches only blobs it is missing,
-// reconstructs most of them from small deltas, and boots and applies
-// without ever invoking the compiler — build once, run everywhere.
+// adjacent tarballs, so a subscriber boots without ever invoking the
+// compiler and reconstructs most tarballs from small deltas — build
+// once, run everywhere. Positions past the base are hot updates, so the
+// base set is the only prebuilt content a subscriber installs.
 //
 // Every manifest entry carries the sha256 digest and size of its
 // tarball, every artifact and delta its own digest, and the manifest a
 // digest of itself (plus, optionally, an offline ed25519 signature), so
 // integrity — and, with a pinned key, authorship — is end to end:
-// whatever transport delivered the bytes, Subscribe verifies them
+// whatever transport delivered the bytes, the Client verifies them
 // before they are interpreted. All publisher writes are atomic (temp
 // file + rename), so a crashed publish never leaves a half-written
 // manifest, tarball, or blob behind.
@@ -34,7 +35,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 
@@ -56,10 +59,10 @@ type Manifest struct {
 	// image as content-addressed blobs, so a subscriber boots the
 	// release without a compiler. Empty for source-only channels.
 	Prebuilt []Artifact `json:"prebuilt,omitempty"`
-	// Deltas advertises binary deltas between blobs at adjacent manifest
-	// positions: a subscriber already holding the blob with BaseSha256
-	// reconstructs ResultSha256 from the (much smaller) delta blob
-	// instead of fetching it whole.
+	// Deltas advertises binary deltas between the tarballs at adjacent
+	// manifest positions: a subscriber already holding the tarball with
+	// BaseSha256 reconstructs ResultSha256 from the (much smaller) delta
+	// blob instead of fetching it whole.
 	Deltas []DeltaEntry `json:"deltas,omitempty"`
 	// PublicKey is the hex ed25519 public key of the signing publisher
 	// (informational — subscribers verify against their own pinned key).
@@ -71,7 +74,7 @@ type Manifest struct {
 	// Digest is the hex sha256 of the manifest's own canonical encoding
 	// (this struct marshaled with Digest and Signature empty). It lets a
 	// subscriber detect a truncated or tampered manifest wherever it
-	// came from.
+	// came from. DecodeManifest refuses a manifest without one.
 	Digest string `json:"digest,omitempty"`
 }
 
@@ -86,13 +89,9 @@ type Entry struct {
 	// CustomCode marks Table 1-style updates that carry hooks.
 	CustomCode bool `json:"custom_code,omitempty"`
 	// Sha256 is the hex digest of the tarball bytes; Size their length.
-	// Subscribe refuses to hand bytes that fail either check to Apply.
+	// The Client refuses to hand bytes that fail either check to Apply.
 	Sha256 string `json:"sha256"`
 	Size   int64  `json:"size"`
-	// Artifacts lists the prebuilt store artifacts this position's build
-	// produced beyond the previous position: the units the patch caused
-	// to recompile and the linked image of the accumulated patched tree.
-	Artifacts []Artifact `json:"artifacts,omitempty"`
 }
 
 // Artifact is one content-addressed prebuilt build artifact.
@@ -112,7 +111,7 @@ type Artifact struct {
 }
 
 // DeltaEntry advertises one binary delta blob (diffutil.MakeDelta
-// format, self-verifying) between two published blobs.
+// format, self-verifying) between two published tarballs.
 type DeltaEntry struct {
 	// BaseSha256 identifies the blob the delta applies against;
 	// ResultSha256 the blob it reconstructs.
@@ -124,7 +123,7 @@ type DeltaEntry struct {
 	Size   int64  `json:"size"`
 }
 
-// DeltaFor returns the advertised delta reconstructing the blob with
+// DeltaFor returns the advertised delta reconstructing the tarball with
 // the given digest, or nil.
 func (m *Manifest) DeltaFor(resultSha256 string) *DeltaEntry {
 	for i := range m.Deltas {
@@ -142,13 +141,6 @@ func (m *Manifest) blobAdvertised(digest string) bool {
 	for i := range m.Prebuilt {
 		if m.Prebuilt[i].Sha256 == digest {
 			return true
-		}
-	}
-	for i := range m.Updates {
-		for j := range m.Updates[i].Artifacts {
-			if m.Updates[i].Artifacts[j].Sha256 == digest {
-				return true
-			}
 		}
 	}
 	for i := range m.Deltas {
@@ -179,12 +171,8 @@ func (m *Manifest) computeDigest() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// Verify checks the manifest's self-digest (when present — manifests
-// published before digests existed carry none and pass).
+// Verify checks the manifest's self-digest.
 func (m *Manifest) Verify() error {
-	if m.Digest == "" {
-		return nil
-	}
 	want, err := m.computeDigest()
 	if err != nil {
 		return err
@@ -195,16 +183,51 @@ func (m *Manifest) Verify() error {
 	return nil
 }
 
-// DecodeManifest parses and verifies manifest bytes.
+// DecodeManifest parses and verifies manifest bytes. Every manifest
+// carries its self-digest, and every update, artifact, and delta a
+// digest and a positive size; one that lacks any of them is refused.
 func DecodeManifest(b []byte) (*Manifest, error) {
 	m := &Manifest{}
 	if err := json.Unmarshal(b, m); err != nil {
 		return nil, fmt.Errorf("channel: manifest: %w", err)
 	}
+	if m.Digest == "" {
+		return nil, fmt.Errorf("channel: manifest carries no digest")
+	}
+	for _, e := range m.Updates {
+		if err := checkAddress("update "+e.Name, e.Sha256, e.Size); err != nil {
+			return nil, err
+		}
+	}
+	for _, a := range m.Prebuilt {
+		if a.StoreKey == "" {
+			return nil, fmt.Errorf("channel: manifest: artifact %s has no store key", a.Sha256)
+		}
+		if err := checkAddress("artifact "+a.StoreKey, a.Sha256, a.Size); err != nil {
+			return nil, err
+		}
+	}
+	for _, d := range m.Deltas {
+		if err := checkAddress("delta onto "+d.ResultSha256, d.Sha256, d.Size); err != nil {
+			return nil, err
+		}
+	}
 	if err := m.Verify(); err != nil {
 		return nil, err
 	}
 	return m, nil
+}
+
+// checkAddress refuses a manifest item that is not content-addressed:
+// its digest must be a hex sha256 and its size positive.
+func checkAddress(what, digest string, size int64) error {
+	if b, err := hex.DecodeString(digest); err != nil || len(b) != sha256.Size {
+		return fmt.Errorf("channel: manifest: %s has no sha256 digest", what)
+	}
+	if size <= 0 {
+		return fmt.Errorf("channel: manifest: %s has size %d", what, size)
+	}
+	return nil
 }
 
 // Publisher accumulates a channel: each Publish builds the next update
@@ -223,20 +246,16 @@ type Publisher struct {
 	manifest Manifest
 	base     *srctree.Tree // the release's unpatched source
 	tree     *srctree.Tree // base plus every published patch
-	// Delta/artifact bookkeeping across Publishes (rebuilt on resume):
-	// the last published tarball and image payload (delta bases), and
-	// the unit store keys already advertised somewhere in the manifest.
-	prevTar   []byte
-	prevImage []byte
-	seenUnits map[string]bool
-	ready     bool
+	prevTar  []byte        // the newest published tarball: the next delta base
 }
 
 // NewPublisher opens (or creates) a channel directory for the release
 // whose base source is tree. Stray temp files from a crashed publish are
 // swept away; the manifest only ever names fully written tarballs, so the
 // channel resumes cleanly from whatever the last atomic manifest rename
-// recorded.
+// recorded. A manifest that exists but fails to decode or verify is an
+// error, never a fresh channel: republishing over it would strand every
+// machine past the positions the new manifest names.
 func NewPublisher(dir string, tree *srctree.Tree) (*Publisher, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -257,97 +276,66 @@ func NewPublisher(dir string, tree *srctree.Tree) (*Publisher, error) {
 		base:     tree.Clone(),
 		tree:     tree.Clone(),
 	}
+	m, err := ReadManifest(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return p, nil
+	}
+	if err != nil {
+		return nil, err
+	}
 	// Resume an existing channel: replay its patches over the base tree,
 	// keeping the newest tarball's bytes as the next delta base.
-	if m, err := ReadManifest(dir); err == nil {
-		if m.KernelVersion != tree.Version {
-			return nil, fmt.Errorf("channel: directory serves %q, tree is %q", m.KernelVersion, tree.Version)
+	if m.KernelVersion != tree.Version {
+		return nil, fmt.Errorf("channel: directory serves %q, tree is %q", m.KernelVersion, tree.Version)
+	}
+	p.manifest = *m
+	for _, e := range m.Updates {
+		b, u, err := loadUpdateBytes(dir, e)
+		if err != nil {
+			return nil, err
 		}
-		p.manifest = *m
-		for _, e := range m.Updates {
-			b, u, err := loadUpdateBytes(dir, e)
-			if err != nil {
-				return nil, err
-			}
-			p.tree, err = p.tree.Patch(u.PatchText)
-			if err != nil {
-				return nil, fmt.Errorf("channel: replaying %s: %w", e.Name, err)
-			}
-			p.prevTar = b
+		p.tree, err = p.tree.Patch(u.PatchText)
+		if err != nil {
+			return nil, fmt.Errorf("channel: replaying %s: %w", e.Name, err)
 		}
+		p.prevTar = b
 	}
 	return p, nil
 }
 
-// ensurePrebuilt makes the publisher's artifact and delta bookkeeping
-// current: on a fresh prebuilt channel it exports and publishes the
-// base release's compiled units and boot image; on resume it rebuilds
-// the seen-unit set and delta bases from what the manifest already
-// advertises. A resumed channel that was published source-only stays
+// ensurePrebuilt exports and publishes the base release's compiled
+// units and boot image the first time a fresh prebuilt channel
+// publishes. A resumed channel that was published source-only stays
 // source-only — prebuilt channels are prebuilt from birth.
 func (p *Publisher) ensurePrebuilt() error {
-	if p.ready {
-		return nil
-	}
-	p.ready = true
 	if len(p.manifest.Updates) > 0 && len(p.manifest.Prebuilt) == 0 {
 		p.NoPrebuilt = true
 	}
-	if p.NoPrebuilt {
+	if p.NoPrebuilt || len(p.manifest.Prebuilt) > 0 {
 		return nil
 	}
-	p.seenUnits = map[string]bool{}
-	if len(p.manifest.Prebuilt) == 0 {
-		arts, err := srctree.ExportPrebuilt(p.base, codegen.KernelBuild(), kernel.KernelBase)
+	arts, err := srctree.ExportPrebuilt(p.base, codegen.KernelBuild(), kernel.KernelBase)
+	if err != nil {
+		return fmt.Errorf("channel: exporting base prebuilt artifacts: %w", err)
+	}
+	for _, a := range arts {
+		digest, size, err := p.writeBlob(a.Payload)
 		if err != nil {
-			return fmt.Errorf("channel: exporting base prebuilt artifacts: %w", err)
+			return err
 		}
-		for _, a := range arts {
-			digest, size, err := p.writeBlob(a.Payload)
-			if err != nil {
-				return err
-			}
-			p.manifest.Prebuilt = append(p.manifest.Prebuilt, Artifact{
-				Kind: a.Kind, Unit: a.Unit, StoreKey: a.StoreKey,
-				Sha256: digest, Size: size,
-			})
-			if a.Kind == srctree.PrebuiltImage {
-				p.prevImage = a.Payload
-			}
-		}
-	}
-	// Rebuild bookkeeping from the manifest (covers both the fresh path
-	// above and resume): every advertised unit key, and the payload of
-	// the newest advertised image as the next image-delta base.
-	note := func(a Artifact) {
-		if a.Kind == srctree.PrebuiltUnit {
-			p.seenUnits[a.StoreKey] = true
-			return
-		}
-		if b, err := os.ReadFile(p.blobPath(a.Sha256)); err == nil {
-			p.prevImage = b
-		}
-	}
-	for _, a := range p.manifest.Prebuilt {
-		note(a)
-	}
-	for _, e := range p.manifest.Updates {
-		for _, a := range e.Artifacts {
-			note(a)
-		}
+		p.manifest.Prebuilt = append(p.manifest.Prebuilt, Artifact{
+			Kind: a.Kind, Unit: a.Unit, StoreKey: a.StoreKey,
+			Sha256: digest, Size: size,
+		})
 	}
 	return nil
-}
-
-func (p *Publisher) blobPath(digest string) string {
-	return filepath.Join(p.Dir, blobsDirName, digest)
 }
 
 // writeBlob stores payload content-addressed under blobs/. Blobs are
 // immutable by construction, so an existing file short-circuits.
 func (p *Publisher) writeBlob(payload []byte) (digest string, size int64, err error) {
 	digest, size = core.TarDigest(payload)
-	path := p.blobPath(digest)
+	path := filepath.Join(p.Dir, blobsDirName, digest)
 	if _, err := os.Stat(path); err == nil {
 		return digest, size, nil
 	}
@@ -360,22 +348,23 @@ func (p *Publisher) writeBlob(payload []byte) (digest string, size int64, err er
 	return digest, size, nil
 }
 
-// publishDelta encodes and stores base→result as a delta blob and
-// advertises it, unless the delta does not actually save bytes.
-func (p *Publisher) publishDelta(base, result []byte) error {
-	if len(base) == 0 {
+// publishDelta encodes and stores the previous tarball → b as a delta
+// blob and advertises it, unless there is no previous tarball or the
+// delta does not actually save bytes.
+func (p *Publisher) publishDelta(b []byte) error {
+	if len(p.prevTar) == 0 {
 		return nil
 	}
-	d := diffutil.MakeDelta(base, result)
-	if len(d) >= len(result) {
+	d := diffutil.MakeDelta(p.prevTar, b)
+	if len(d) >= len(b) {
 		return nil
 	}
 	digest, size, err := p.writeBlob(d)
 	if err != nil {
 		return err
 	}
-	baseDigest, _ := core.TarDigest(base)
-	resultDigest, _ := core.TarDigest(result)
+	baseDigest, _ := core.TarDigest(p.prevTar)
+	resultDigest, _ := core.TarDigest(b)
 	p.manifest.Deltas = append(p.manifest.Deltas, DeltaEntry{
 		BaseSha256: baseDigest, ResultSha256: resultDigest,
 		Sha256: digest, Size: size,
@@ -384,10 +373,10 @@ func (p *Publisher) publishDelta(base, result []byte) error {
 }
 
 // Publish converts a source patch into the channel's next update. The
-// tarball — and, for prebuilt channels, the position's new artifact and
-// delta blobs — is written atomically before the manifest names it, so
-// a crash at any point leaves the channel consistent: either the update
-// is fully published or it is absent.
+// tarball — and, for prebuilt channels, its delta blob — is written
+// atomically before the manifest names it, so a crash at any point
+// leaves the channel consistent: either the update is fully published
+// or it is absent.
 func (p *Publisher) Publish(name, cve, patchText string) (*core.Update, error) {
 	if err := p.ensurePrebuilt(); err != nil {
 		return nil, err
@@ -411,49 +400,18 @@ func (p *Publisher) Publish(name, cve, patchText string) (*core.Update, error) {
 	if err != nil {
 		return nil, err
 	}
-	entry := Entry{
-		Name: u.Name, File: file, CVE: cve,
-		PatchLines: u.PatchLines, CustomCode: u.HasHooks(),
-		Sha256: digest, Size: size,
-	}
 	if !p.NoPrebuilt {
-		// Export the patched position's build: the units this patch
-		// caused to recompile (every other key is already advertised)
-		// and the accumulated tree's linked image, delta-encoded against
-		// the previous position's image.
-		arts, err := srctree.ExportPrebuilt(next, codegen.KernelBuild(), kernel.KernelBase)
-		if err != nil {
-			return nil, fmt.Errorf("channel: exporting %s artifacts: %w", u.Name, err)
-		}
-		for _, a := range arts {
-			if a.Kind == srctree.PrebuiltUnit && p.seenUnits[a.StoreKey] {
-				continue
-			}
-			blobDigest, blobSize, err := p.writeBlob(a.Payload)
-			if err != nil {
-				return nil, err
-			}
-			entry.Artifacts = append(entry.Artifacts, Artifact{
-				Kind: a.Kind, Unit: a.Unit, StoreKey: a.StoreKey,
-				Sha256: blobDigest, Size: blobSize,
-			})
-			if a.Kind == srctree.PrebuiltUnit {
-				p.seenUnits[a.StoreKey] = true
-			} else {
-				if err := p.publishDelta(p.prevImage, a.Payload); err != nil {
-					return nil, err
-				}
-				p.prevImage = a.Payload
-			}
-		}
-		// Tarball delta against the previous position's tarball.
-		if err := p.publishDelta(p.prevTar, b); err != nil {
+		if err := p.publishDelta(b); err != nil {
 			return nil, err
 		}
 	}
 	p.tree = next
 	p.prevTar = b
-	p.manifest.Updates = append(p.manifest.Updates, entry)
+	p.manifest.Updates = append(p.manifest.Updates, Entry{
+		Name: u.Name, File: file, CVE: cve,
+		PatchLines: u.PatchLines, CustomCode: u.HasHooks(),
+		Sha256: digest, Size: size,
+	})
 	return u, p.writeManifest()
 }
 

@@ -1,6 +1,11 @@
 package channel
 
 import (
+	"bytes"
+	"context"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"gosplice/internal/core"
@@ -44,7 +49,7 @@ func TestPublishAndSubscribe(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr := core.NewManager(k)
-	applied, err := SubscribeDir(dir, mgr, 0, SubscribeOptions{Apply: core.ApplyOptions{MaxAttempts: 6}})
+	applied, err := SyncOnce(context.Background(), ClientConfig{Transport: NewDirTransport(dir), Apply: core.ApplyOptions{MaxAttempts: 6}}, mgr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +68,7 @@ func TestPublishAndSubscribe(t *testing.T) {
 	}
 
 	// A machine already at position N gets nothing new.
-	more, err := SubscribeDir(dir, mgr, len(cves), SubscribeOptions{})
+	more, err := SyncOnce(context.Background(), ClientConfig{Transport: NewDirTransport(dir)}, mgr, len(cves))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,6 +137,43 @@ func TestPublisherResume(t *testing.T) {
 	}
 }
 
+// TestPublisherRefusesCorruptManifest: a manifest that exists but fails
+// to verify is an error, not a fresh channel — republishing over it would
+// rewrite the channel with fewer updates and strand every machine past
+// them. The corrupt manifest is left exactly as it was.
+func TestPublisherRefusesCorruptManifest(t *testing.T) {
+	version := cvedb.Versions[0]
+	dir := t.TempDir()
+	pub, err := NewPublisher(dir, cvedb.Tree(version))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cvedb.ForVersion(version)[:3] {
+		if _, err := pub.Publish(fmt.Sprintf("u%d", i), c.ID, c.Patch()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(dir, manifestName)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)/2] ^= 1
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewPublisher(dir, cvedb.Tree(version)); err == nil {
+		t.Fatal("publisher opened a channel whose manifest fails verification")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, b) {
+		t.Error("refusing the channel changed its manifest")
+	}
+}
+
 func TestSubscribeErrors(t *testing.T) {
 	version := cvedb.Versions[0]
 	dir := t.TempDir()
@@ -149,7 +191,7 @@ func TestSubscribeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SubscribeDir(dir, core.NewManager(k), 0, SubscribeOptions{}); err == nil {
+	if _, err := SyncOnce(context.Background(), ClientConfig{Transport: NewDirTransport(dir)}, core.NewManager(k), 0); err == nil {
 		t.Error("cross-release subscription accepted")
 	}
 	// Impossible position.
@@ -157,11 +199,11 @@ func TestSubscribeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SubscribeDir(dir, core.NewManager(k2), 5, SubscribeOptions{}); err == nil {
+	if _, err := SyncOnce(context.Background(), ClientConfig{Transport: NewDirTransport(dir)}, core.NewManager(k2), 5); err == nil {
 		t.Error("position beyond channel accepted")
 	}
 	// Missing channel.
-	if _, err := SubscribeDir(t.TempDir(), core.NewManager(k2), 0, SubscribeOptions{}); err == nil {
+	if _, err := SyncOnce(context.Background(), ClientConfig{Transport: NewDirTransport(t.TempDir())}, core.NewManager(k2), 0); err == nil {
 		t.Error("empty dir subscribed")
 	}
 }

@@ -282,7 +282,8 @@ func TestChaosSoakHTTPFleet(t *testing.T) {
 
 				var got [][]byte
 				var names []string
-				opts := channel.SubscribeOptions{
+				cfg := channel.ClientConfig{
+					Transport:    tr,
 					FetchRetries: 3,
 					OnApplied: func(e channel.Entry, b []byte) error {
 						got = append(got, append([]byte(nil), b...))
@@ -295,10 +296,22 @@ func TestChaosSoakHTTPFleet(t *testing.T) {
 					// bases, so their fault schedules align with manifest
 					// and tarball operations exactly as before artifacts
 					// existed.
-					opts.NoPrebuilt = true
-					opts.Blobs = nullBlobCache{}
+					cfg.Blobs = nullBlobCache{}
 				}
-				applied, err := channel.Subscribe(context.Background(), tr, mgr, 0, opts)
+				cl, err := channel.NewClient(cfg)
+				if err != nil {
+					fail("client: %v", err)
+					return
+				}
+				defer cl.Close()
+				if mi == 2 {
+					// The prebuilt member runs the base install, best
+					// effort as for any subscriber: publishing warmed this
+					// process's store, so every artifact should hit it.
+					cl.InstallBase(context.Background())
+				}
+				cl.Bind(mgr, 0)
+				applied, err := cl.Sync(context.Background())
 				pos := len(applied)
 				if err != nil {
 					pe, ok := channel.IsPosition(err)
@@ -341,7 +354,9 @@ func TestChaosSoakHTTPFleet(t *testing.T) {
 				// Graceful stop: resume over a clean transport reaches the
 				// head. (The faulty run already proved the failure handling.)
 				if pos < len(cves) {
-					more, err := channel.SubscribeDir(dir, mgr, pos, channel.SubscribeOptions{OnApplied: opts.OnApplied})
+					more, err := channel.SyncOnce(context.Background(), channel.ClientConfig{
+						Transport: channel.NewDirTransport(dir), OnApplied: cfg.OnApplied,
+					}, mgr, pos)
 					if err != nil {
 						fail("resume from %d: %v", pos, err)
 						return

@@ -1,12 +1,12 @@
 package channel
 
-// Client is the subscriber stack rolled into one reusable object: a
-// transport, a persistent (or ephemeral) blob cache, a per-instance
-// telemetry registry, and the machine's channel position, behind a
+// Client is the channel's one subscriber: a transport, a persistent (or
+// ephemeral) blob cache, a per-instance telemetry registry, a write-ahead
+// apply journal, and the machine's channel position, behind a
 // context-cancellable Sync. cmd/ksplice-channel's subscribe mode is one
 // Client; the fleet orchestrator is hundreds of them in one process,
 // each with its own registry (pushed upstream as fleet reports) and its
-// own fault-injection wrapping.
+// own fault-injecting transport.
 
 import (
 	"context"
@@ -26,13 +26,9 @@ type ClientConfig struct {
 	// Name identifies the client in fleet reports and errors (default
 	// "client").
 	Name string
-	// Transport reaches the channel. The client wraps it (WrapTransport)
-	// but does not own it.
+	// Transport reaches the channel. The client uses it but does not own
+	// it.
 	Transport Transport
-	// WrapTransport, when non-nil, interposes on the transport — the hook
-	// a fleet plugs a faultinject.Plan into (the faultinject package
-	// depends on this one, so the plan arrives as a closure).
-	WrapTransport func(Transport) Transport
 	// StateDir, when non-empty, roots the client's persistent state: its
 	// blob cache lives at StateDir/blob-cache and its write-ahead apply
 	// journal at StateDir/apply-journal.jsonl. Empty means fully
@@ -44,10 +40,9 @@ type ClientConfig struct {
 	// process death. Nil falls back to the process-global hook.
 	Crash crashpoint.Hook
 	// Blobs overrides the blob cache outright (StateDir then does not
-	// create one).
+	// create one). The cache is what lets binary deltas chain across
+	// separate Syncs.
 	Blobs BlobCache
-	// BlobCacheBytes caps the StateDir blob cache (0 = default cap).
-	BlobCacheBytes int64
 	// Registry, when non-nil, is the client's metric registry; nil
 	// creates a private one. Either way every increment also lands on
 	// the process-wide registry, so one /metrics stays coherent.
@@ -57,14 +52,29 @@ type ClientConfig struct {
 	// gives each member its own tracer so its Pusher ships exactly that
 	// member's spans upstream.
 	Tracer *telemetry.Tracer
-	// Apply, FetchRetries, VerifyKey, NoPrebuilt, OnApplied, OnInstalled
-	// pass through to Subscribe.
-	Apply        core.ApplyOptions
+	// Apply is passed through to core.Manager.Apply (and Undo) for every
+	// update, so a busy machine can raise MaxAttempts or stretch
+	// RetryDelay instead of inheriting hard-coded defaults.
+	Apply core.ApplyOptions
+	// FetchRetries bounds how many times one entry is re-fetched after
+	// an integrity failure — a digest or size mismatch, or a tarball
+	// that fails to parse (default 2, i.e. up to 3 fetches). Transports
+	// retry transport-level failures internally; this guards the end to
+	// end check above them.
 	FetchRetries int
-	VerifyKey    VerifyKey
-	NoPrebuilt   bool
-	OnApplied    func(e Entry, b []byte) error
-	OnInstalled  func(InstallStats)
+	// VerifyKey, when non-nil, pins the channel's publisher: the
+	// manifest must carry a valid ed25519 signature by this key or it is
+	// refused outright — a hard error, not a PositionError, because an
+	// unauthenticated manifest is an attack, not an outage.
+	VerifyKey VerifyKey
+	// NoPrebuilt makes InstallBase skip the channel's prebuilt base set
+	// (the machine then compiles its boot from source).
+	NoPrebuilt bool
+	// OnApplied, when non-nil, is called after each update applies and
+	// its position commits, with the manifest entry and verified tarball
+	// bytes — the hook a subscriber uses to persist local copies for
+	// later replay. An error stops the Sync; the update stays applied.
+	OnApplied func(e Entry, b []byte) error
 	// Throttle, when > 0, sleeps this long after every applied update —
 	// how a fleet simulates slow machines. The sleep respects the Sync
 	// context.
@@ -101,13 +111,13 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.Name == "" {
 		cfg.Name = "client"
 	}
+	if cfg.FetchRetries <= 0 {
+		cfg.FetchRetries = 2
+	}
 	c := &Client{
 		cfg:     cfg,
 		t:       cfg.Transport,
 		cancels: map[*context.CancelFunc]struct{}{},
-	}
-	if cfg.WrapTransport != nil {
-		c.t = cfg.WrapTransport(c.t)
 	}
 	c.reg = cfg.Registry
 	if c.reg == nil {
@@ -122,11 +132,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	case cfg.Blobs != nil:
 		c.blobs = cfg.Blobs
 	case cfg.StateDir != "":
-		max := cfg.BlobCacheBytes
-		if max == 0 {
-			max = DefaultBlobCacheBytes
-		}
-		bc, err := NewDirBlobCacheMax(filepath.Join(cfg.StateDir, "blob-cache"), max)
+		bc, err := NewDirBlobCache(filepath.Join(cfg.StateDir, "blob-cache"))
 		if err != nil {
 			return nil, fmt.Errorf("channel: client blob cache: %w", err)
 		}
@@ -223,14 +229,9 @@ func (c *Client) RestoreMachine(ctx context.Context, mgr *core.Manager, floor in
 		target = floor
 	}
 	if target > floor || pending != nil {
-		m, err := c.t.Manifest(ctx)
+		m, err := c.manifest(ctx)
 		if err != nil {
 			return 0, fmt.Errorf("channel: client %s recovery: %w", c.cfg.Name, err)
-		}
-		if c.cfg.VerifyKey != nil {
-			if err := m.VerifySignature(c.cfg.VerifyKey); err != nil {
-				return 0, fmt.Errorf("channel: refusing manifest: %w", err)
-			}
 		}
 		if target > len(m.Updates) {
 			c.ms.tornDetected.Inc()
@@ -292,11 +293,7 @@ func (c *Client) RestoreMachine(ctx context.Context, mgr *core.Manager, floor in
 // from the blob cache when present, a verified transport fetch
 // otherwise.
 func (c *Client) replayEntry(ctx context.Context, mgr *core.Manager, m *Manifest, e Entry) error {
-	retries := c.cfg.FetchRetries
-	if retries <= 0 {
-		retries = 2
-	}
-	u, _, err := fetchVerified(ctx, c.t, m, e, c.blobs, retries, c.ms)
+	u, _, err := fetchVerified(ctx, c.t, m, e, c.blobs, c.cfg.FetchRetries, c.ms)
 	if err != nil {
 		return err
 	}
@@ -344,15 +341,41 @@ func (c *Client) syncCtx(ctx context.Context) (context.Context, func(), error) {
 	return ctx, done, nil
 }
 
-// Sync subscribes the machine up to the channel head from its current
-// position, returning the updates applied this call. A PositionError
-// still advances the recorded position to wherever the machine actually
-// reached — the machine stays consistent, and the next Sync resumes
-// there. Cancelling ctx (or Close) stops the sync at the next safe
-// boundary.
+// manifest fetches the channel's manifest and, when a key is pinned,
+// checks its signature. A transport failure is an outage, reported as a
+// PositionError at the client's current position; a manifest the pinned
+// key did not sign is refused with a hard error.
+func (c *Client) manifest(ctx context.Context) (*Manifest, error) {
+	m, err := c.t.Manifest(ctx)
+	if err != nil {
+		return nil, &PositionError{Position: c.Position(), Err: err}
+	}
+	if c.cfg.VerifyKey != nil {
+		if err := m.VerifySignature(c.cfg.VerifyKey); err != nil {
+			return nil, fmt.Errorf("channel: refusing manifest: %w", err)
+		}
+	}
+	return m, nil
+}
+
+// Sync applies every channel update the machine does not yet have, in
+// order, from its current position, returning the updates applied this
+// call.
+//
+// Every tarball is verified against its manifest digest and size before
+// it is parsed; corrupt bytes are re-fetched up to FetchRetries times
+// and are never handed to Apply. With a StateDir, each apply is
+// bracketed by a journal begin record (after the bytes verify) and a
+// commit record (before the apply is counted, so a journal that says
+// "committed" never claims an update the metrics have not seen).
+//
+// If the channel becomes unreachable, an entry stays bad, or ctx (or
+// Close) cancels the sync, the machine keeps running at the position it
+// reached and the returned *PositionError reports it; the recorded
+// position advances to it, and the next Sync resumes there.
 func (c *Client) Sync(ctx context.Context) ([]*core.Update, error) {
 	c.mu.Lock()
-	mgr, pos := c.mgr, c.pos
+	mgr, from := c.mgr, c.pos
 	c.mu.Unlock()
 	if mgr == nil {
 		return nil, fmt.Errorf("channel: client %s has no machine bound", c.cfg.Name)
@@ -366,55 +389,92 @@ func (c *Client) Sync(ctx context.Context) ([]*core.Update, error) {
 	// this trace, and the traceparent crosses the wire to the server.
 	sp := c.tracer.Start("client.sync",
 		telemetry.A("client", c.cfg.Name),
-		telemetry.A("from", fmt.Sprintf("%d", pos)))
+		telemetry.A("from", fmt.Sprintf("%d", from)))
 	defer sp.End()
 	ctx = telemetry.ContextWithSpan(ctx, sp)
-	opts := SubscribeOptions{
-		Apply:        c.cfg.Apply,
-		FetchRetries: c.cfg.FetchRetries,
-		VerifyKey:    c.cfg.VerifyKey,
-		NoPrebuilt:   c.cfg.NoPrebuilt,
-		Blobs:        c.blobs,
-		OnInstalled:  c.cfg.OnInstalled,
-		Registry:     c.reg,
+	applied, err := c.syncFrom(ctx, sp, mgr, from)
+	pos := from + len(applied)
+	sp.SetAttr("applied", fmt.Sprintf("%d", len(applied)))
+	sp.SetAttr("to", fmt.Sprintf("%d", pos))
+	c.mu.Lock()
+	c.pos = pos
+	c.mu.Unlock()
+	c.ms.position.Set(int64(pos))
+	if _, ok := IsPosition(err); ok {
+		c.ms.degraded.Inc()
 	}
-	if c.state != nil {
-		opts.OnApplying = func(m *Manifest, e Entry, pos int) error {
-			return c.state.Begin(JournalEntry{Pos: pos, Name: e.Name, Sha256: e.Sha256, Size: e.Size, Manifest: m.Digest}, mgr.K.Version)
-		}
-		opts.OnCommitted = func(e Entry, pos int) error {
-			return c.state.Commit(pos)
-		}
+	return applied, err
+}
+
+// syncFrom is Sync's loop: from is the machine's position, and each
+// entry gets fetch and apply spans under sp.
+func (c *Client) syncFrom(ctx context.Context, sp *telemetry.Span, mgr *core.Manager, from int) ([]*core.Update, error) {
+	m, err := c.manifest(ctx)
+	if err != nil {
+		return nil, err
 	}
-	opts.OnApplied = func(e Entry, b []byte) error {
+	if m.KernelVersion != mgr.K.Version {
+		return nil, fmt.Errorf("channel: serves %q, machine runs %q", m.KernelVersion, mgr.K.Version)
+	}
+	if from > len(m.Updates) {
+		return nil, fmt.Errorf("channel: machine claims %d updates, channel has %d", from, len(m.Updates))
+	}
+	var out []*core.Update
+	// stop reports the position reached: every update in out is applied.
+	stop := func(e Entry, err error) ([]*core.Update, error) {
+		return out, &PositionError{Position: from + len(out), Entry: e.Name, Err: err}
+	}
+	for _, e := range m.Updates[from:] {
+		if err := ctx.Err(); err != nil {
+			return stop(e, err)
+		}
+		// The fetch span's traceparent rides the transport's requests, so
+		// the server's handler spans nest inside it across the process
+		// boundary.
+		fsp := sp.Child("fetch", telemetry.A("entry", e.Name))
+		u, b, err := fetchVerified(telemetry.ContextWithSpan(ctx, fsp), c.t, m, e, c.blobs, c.cfg.FetchRetries, c.ms)
+		fsp.End()
+		if err != nil {
+			return stop(e, err)
+		}
+		next := from + len(out) + 1
+		if c.state != nil {
+			if err := c.state.Begin(JournalEntry{Pos: next, Name: e.Name, Sha256: e.Sha256, Size: e.Size, Manifest: m.Digest}, mgr.K.Version); err != nil {
+				return stop(e, fmt.Errorf("journaling begin: %w", err))
+			}
+		}
+		asp := sp.Child("apply", telemetry.A("entry", e.Name))
+		_, err = mgr.Apply(u, c.cfg.Apply)
+		asp.End()
+		if err != nil {
+			return stop(e, fmt.Errorf("applying: %w", err))
+		}
+		var commitErr error
+		if c.state != nil {
+			commitErr = c.state.Commit(next)
+		}
+		c.ms.applied.Inc()
+		out = append(out, u)
+		c.ms.position.Set(int64(next))
+		if commitErr != nil {
+			return stop(e, fmt.Errorf("journaling commit: %w", commitErr))
+		}
 		if c.cfg.OnApplied != nil {
 			if err := c.cfg.OnApplied(e, b); err != nil {
-				return err
+				return stop(e, fmt.Errorf("on-applied hook: %w", err))
 			}
 		}
 		if c.cfg.Throttle > 0 {
 			timer := time.NewTimer(c.cfg.Throttle)
-			defer timer.Stop()
 			select {
 			case <-ctx.Done():
-				return ctx.Err()
+				timer.Stop()
+				return stop(e, ctx.Err())
 			case <-timer.C:
 			}
 		}
-		return nil
 	}
-	applied, err := Subscribe(ctx, c.t, mgr, pos, opts)
-	newPos := pos + len(applied)
-	if pe, ok := IsPosition(err); ok {
-		newPos = pe.Position
-	}
-	sp.SetAttr("applied", fmt.Sprintf("%d", len(applied)))
-	sp.SetAttr("to", fmt.Sprintf("%d", newPos))
-	c.mu.Lock()
-	c.pos = newPos
-	c.mu.Unlock()
-	c.ms.position.Set(int64(newPos))
-	return applied, err
+	return out, nil
 }
 
 // Rollback undoes hot updates, most recent first, until the machine is
@@ -460,9 +520,12 @@ func (c *Client) Rollback(to int) (int, error) {
 // InstallBase warms the local build store with the channel's base
 // prebuilt artifact set (verifying the manifest signature first when a
 // key is pinned) — what a subscriber runs before booting its machine,
-// so the boot hits the store instead of the compiler. Returns the
-// manifest alongside the install summary; on a NoPrebuilt client it
-// only fetches and verifies the manifest.
+// so the boot hits the store instead of the compiler. It is the only
+// prebuilt content a subscriber installs: it boots the base release and
+// takes every later position as a hot update. Artifacts that fail to
+// arrive or decode are counted as failed and left to the source build.
+// Returns the manifest alongside the install summary; on a NoPrebuilt
+// client it only fetches and verifies the manifest.
 func (c *Client) InstallBase(ctx context.Context) (*Manifest, InstallStats, error) {
 	var st InstallStats
 	ctx, done, err := c.syncCtx(ctx)
@@ -470,17 +533,12 @@ func (c *Client) InstallBase(ctx context.Context) (*Manifest, InstallStats, erro
 		return nil, st, err
 	}
 	defer done()
-	m, err := c.t.Manifest(ctx)
+	m, err := c.manifest(ctx)
 	if err != nil {
 		return nil, st, err
 	}
-	if c.cfg.VerifyKey != nil {
-		if err := m.VerifySignature(c.cfg.VerifyKey); err != nil {
-			return nil, st, fmt.Errorf("channel: refusing manifest: %w", err)
-		}
-	}
 	if !c.cfg.NoPrebuilt {
-		st = installArtifacts(ctx, c.t, m, m.Prebuilt, c.blobs, c.ms)
+		st = installBase(ctx, c.t, m, c.blobs, c.ms)
 	}
 	return m, st, nil
 }

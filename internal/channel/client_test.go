@@ -89,7 +89,7 @@ func TestSubscribeCancelMidBackoff(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	applied, err := Subscribe(ctx, tr, mgr, 0, SubscribeOptions{NoPrebuilt: true})
+	applied, err := SyncOnce(ctx, ClientConfig{Transport: tr}, mgr, 0)
 	elapsed := time.Since(start)
 	if elapsed > 5*time.Second {
 		t.Fatalf("cancelled subscribe returned after %s", elapsed)
@@ -132,7 +132,6 @@ func TestClientCloseCancelsSync(t *testing.T) {
 			Backoff:    30 * time.Second,
 			Seed:       1,
 		}),
-		NoPrebuilt: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +189,7 @@ func TestClientSyncAndRollback(t *testing.T) {
 	// The machine already runs the first update when the client binds it:
 	// position 1 is the rollback floor.
 	k, mgr := bootManager(t, version)
-	if _, err := SubscribeDir(dir, mgr, 0, SubscribeOptions{NoPrebuilt: true}); err == nil {
+	if _, err := SyncOnce(context.Background(), ClientConfig{Transport: NewDirTransport(dir)}, mgr, 0); err == nil {
 		// Head is 3; this synced everything. Undo back to 1 so the client
 		// starts mid-channel.
 		for i := 0; i < 2; i++ {
@@ -203,9 +202,8 @@ func TestClientSyncAndRollback(t *testing.T) {
 	}
 
 	cl, err := NewClient(ClientConfig{
-		Name:       "rollback-test",
-		Transport:  NewDirTransport(dir),
-		NoPrebuilt: true,
+		Name:      "rollback-test",
+		Transport: NewDirTransport(dir),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -79,11 +79,10 @@ func sweepAttempt(t *testing.T, chanDir, stateDir, version string, hook crashpoi
 	}
 	mgr := core.NewManager(k)
 	cl, err := NewClient(ClientConfig{
-		Name:       "sweep",
-		Transport:  NewDirTransport(chanDir),
-		StateDir:   stateDir,
-		Crash:      hook,
-		NoPrebuilt: true,
+		Name:      "sweep",
+		Transport: NewDirTransport(chanDir),
+		StateDir:  stateDir,
+		Crash:     hook,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -208,10 +207,9 @@ func TestClientCorruptStateRederives(t *testing.T) {
 	}
 	mgr := core.NewManager(k)
 	cl, err := NewClient(ClientConfig{
-		Name:       "corrupt",
-		Transport:  NewDirTransport(chanDir),
-		StateDir:   stateDir,
-		NoPrebuilt: true,
+		Name:      "corrupt",
+		Transport: NewDirTransport(chanDir),
+		StateDir:  stateDir,
 	})
 	if err != nil {
 		t.Fatalf("NewClient over a corrupt journal: %v", err)

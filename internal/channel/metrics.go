@@ -216,8 +216,8 @@ func newClientMetrics(reg *telemetry.Registry, mirror *clientMetrics) *clientMet
 	return cm
 }
 
-// defaultClientMetrics is the process-wide set: what plain Subscribe
-// calls count into, and what every per-client set mirrors.
+// defaultClientMetrics is the process-wide set: what a client on the
+// Default registry counts into, and what every per-client set mirrors.
 var defaultClientMetrics = newClientMetrics(telemetry.Default(), nil)
 
 // registryClientMetrics returns the metric set for a per-instance

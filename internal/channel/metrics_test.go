@@ -54,7 +54,7 @@ func TestIntegrityRefetchCounterExact(t *testing.T) {
 	tr := faultinject.WrapTransport(channel.NewDirTransport(dir), plan)
 
 	before := telemetry.Default().Snapshot()
-	applied, err := channel.Subscribe(context.Background(), tr, mgr, 0, channel.SubscribeOptions{})
+	applied, err := channel.SyncOnce(context.Background(), channel.ClientConfig{Transport: tr}, mgr, 0)
 	if err != nil {
 		t.Fatalf("subscribe: %v", err)
 	}

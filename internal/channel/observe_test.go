@@ -245,10 +245,9 @@ func TestMergedTraceEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl, err := channel.NewClient(channel.ClientConfig{
-		Name:       "m-trace",
-		Transport:  channel.NewHTTPTransport(hs.URL, channel.HTTPOptions{Timeout: 10 * time.Second}),
-		NoPrebuilt: true,
-		Tracer:     telemetry.NewTracer(256),
+		Name:      "m-trace",
+		Transport: channel.NewHTTPTransport(hs.URL, channel.HTTPOptions{Timeout: 10 * time.Second}),
+		Tracer:    telemetry.NewTracer(256),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,9 @@
 package channel
 
-// Subscriber-side prebuilt artifact installation and delta-aware blob
+// Subscriber-side base-set installation and delta-aware tarball
 // fetching — the client half of the channel's build-once story. Both
 // are strictly best-effort: any failure here degrades to what the
-// subscriber always did (fetch whole blobs, or compile from source),
+// subscriber always did (fetch whole tarballs, or compile from source),
 // never to an error the caller sees.
 
 import (
@@ -22,8 +22,8 @@ func blobDigest(b []byte) string {
 
 // InstallStats summarizes one prebuilt install pass.
 type InstallStats struct {
-	// Installed counts artifacts fetched (whole or via delta) and filed
-	// into the local build store.
+	// Installed counts artifacts fetched and filed into the local build
+	// store.
 	Installed int
 	// Hits counts artifacts the store already held — nothing fetched.
 	Hits int
@@ -32,36 +32,11 @@ type InstallStats struct {
 	Failed int
 }
 
-// InstallPrebuilt walks every artifact the manifest advertises — the
-// base release set, then each position's additions, in order — and
-// files the ones the local build store is missing. This is the full
-// mirror: what a machine-image builder or downstream republisher wants.
-// Order matters: the base image is fetched (and cached) before the
-// position images that delta against it. Failures degrade silently to
-// source builds.
-func InstallPrebuilt(ctx context.Context, t Transport, m *Manifest, blobs BlobCache) InstallStats {
-	arts := append([]Artifact(nil), m.Prebuilt...)
-	for _, e := range m.Updates {
-		arts = append(arts, e.Artifacts...)
-	}
-	return installArtifacts(ctx, t, m, arts, blobs, defaultClientMetrics)
-}
-
-// InstallBasePrebuilt installs only the base release's artifact set —
-// exactly what a subscribing machine consumes: it boots the base tree
-// from the store and takes everything newer as hot updates, so the
-// per-position artifacts would be dead weight on its wire. This is what
-// Subscribe runs implicitly.
-func InstallBasePrebuilt(ctx context.Context, t Transport, m *Manifest, blobs BlobCache) InstallStats {
-	return installArtifacts(ctx, t, m, m.Prebuilt, blobs, defaultClientMetrics)
-}
-
-func installArtifacts(ctx context.Context, t Transport, m *Manifest, arts []Artifact, blobs BlobCache, ms *clientMetrics) InstallStats {
+// installBase files every base-set artifact the local build store is
+// missing. Failures degrade silently to source builds.
+func installBase(ctx context.Context, t Transport, m *Manifest, blobs BlobCache, ms *clientMetrics) InstallStats {
 	var st InstallStats
-	for _, a := range arts {
-		if a.StoreKey == "" || a.Sha256 == "" {
-			continue
-		}
+	for _, a := range m.Prebuilt {
 		if ctx.Err() != nil {
 			// Cancelled mid-pass: everything not yet installed falls to
 			// the source-build path, exactly like a fetch failure.
@@ -73,7 +48,7 @@ func installArtifacts(ctx context.Context, t Transport, m *Manifest, arts []Arti
 			st.Hits++
 			continue
 		}
-		b, ok := fetchBlobVerified(ctx, t, m, a.Sha256, a.Size, blobs, ms)
+		b, ok := fetchBlobVerified(ctx, t, a.Sha256, a.Size, blobs, ms)
 		if !ok {
 			st.Failed++
 			continue
@@ -90,15 +65,12 @@ func installArtifacts(ctx context.Context, t Transport, m *Manifest, arts []Arti
 	return st
 }
 
-// fetchBlobVerified obtains one advertised blob by digest: from the
-// local cache, by reconstructing it from an advertised delta when the
-// base is at hand, or by fetching it whole. Whatever the path, the
-// returned bytes hash to digest; ok=false means every path failed.
-func fetchBlobVerified(ctx context.Context, t Transport, m *Manifest, digest string, size int64, blobs BlobCache, ms *clientMetrics) ([]byte, bool) {
+// fetchBlobVerified obtains one advertised artifact blob by digest:
+// from the local cache, or by fetching it whole (base-set blobs have no
+// delta). Whatever the path, the returned bytes hash to digest;
+// ok=false means every path failed.
+func fetchBlobVerified(ctx context.Context, t Transport, digest string, size int64, blobs BlobCache, ms *clientMetrics) ([]byte, bool) {
 	if b, ok := blobs.Get(digest); ok {
-		return b, true
-	}
-	if b, ok := fetchViaDelta(ctx, t, m, digest, blobs, ms); ok {
 		return b, true
 	}
 	b, err := t.FetchBlob(ctx, digest, size)
@@ -113,14 +85,15 @@ func fetchBlobVerified(ctx context.Context, t Transport, m *Manifest, digest str
 	return b, true
 }
 
-// fetchViaDelta reconstructs the blob with the given digest from an
-// advertised binary delta, when one exists and its base is in the local
-// cache. Every failure past "a delta was advertised and we hold its
-// base" counts a full-fetch fallback; the delta format is self-verifying
+// fetchViaDelta reconstructs entry e's tarball from an advertised
+// binary delta, when one exists and its base is in the local cache.
+// Every failure past "a delta was advertised and we hold its base"
+// counts a full-fetch fallback; the delta format is self-verifying
 // (base and result digests are in the header), so corrupt deltas and
-// wrong bases are caught before any reconstructed byte is trusted.
-func fetchViaDelta(ctx context.Context, t Transport, m *Manifest, digest string, blobs BlobCache, ms *clientMetrics) ([]byte, bool) {
-	d := m.DeltaFor(digest)
+// wrong bases are caught before any reconstructed byte is trusted, and
+// the decoder allocates no more than the entry's advertised size.
+func fetchViaDelta(ctx context.Context, t Transport, m *Manifest, e Entry, blobs BlobCache, ms *clientMetrics) ([]byte, bool) {
+	d := m.DeltaFor(e.Sha256)
 	if d == nil {
 		return nil, false
 	}
@@ -139,18 +112,18 @@ func fetchViaDelta(ctx context.Context, t Transport, m *Manifest, digest string,
 		ms.deltaFallback.Inc()
 		return nil, false
 	}
-	b, err := diffutil.ApplyDelta(base, db)
+	b, err := diffutil.ApplyDelta(base, db, e.Size)
 	if err != nil {
 		ms.deltaFallback.Inc()
 		return nil, false
 	}
-	if blobDigest(b) != digest {
-		// Publisher advertised a delta whose result is not the blob —
-		// caught here, fall back to whole-blob fetch.
+	if blobDigest(b) != e.Sha256 {
+		// Publisher advertised a delta whose result is not the tarball —
+		// caught here, fall back to the whole fetch.
 		ms.deltaFallback.Inc()
 		return nil, false
 	}
 	ms.deltaApplied.Inc()
-	blobs.Put(digest, b)
+	blobs.Put(e.Sha256, b)
 	return b, true
 }

@@ -1,8 +1,8 @@
 // Prebuilt artifact and binary delta tests: the no-compiler subscribe
-// smoke `make check` runs (-run NoCompile), and the degradation matrix —
-// corrupt artifact blobs, corrupt deltas, and missing delta bases all
-// fall back (to source builds or full fetches) without losing a single
-// update.
+// smoke `make check` runs (-run NoCompileWarmStore), what a prebuilt
+// channel holds, and the degradation matrix — corrupt artifact blobs,
+// corrupt deltas, and missing delta bases all fall back (to source
+// builds or full fetches) without losing a single update.
 package channel_test
 
 import (
@@ -74,14 +74,23 @@ func bootCached(t *testing.T, version string) (*kernel.Kernel, *core.Manager) {
 
 // TestSubscribeNoCompileWarmStore is the acceptance smoke: across every
 // release, a subscriber whose build store was warmed purely from the
-// channel's prebuilt blobs boots and applies the release's whole CVE
-// series with zero unit compilations and zero image links.
+// channel's prebuilt base set (Client.InstallBase) boots and applies the
+// release's whole CVE series with zero unit compilations and zero image
+// links.
 func TestSubscribeNoCompileWarmStore(t *testing.T) {
 	for _, version := range cvedb.Versions {
 		dir, published := publishRelease(t, version)
 		cves := cvedb.ForVersion(version)
-		tr := channel.NewDirTransport(dir)
-		m, err := channel.ReadManifest(dir)
+		var got [][]byte
+		var names []string
+		cl, err := channel.NewClient(channel.ClientConfig{
+			Transport: channel.NewDirTransport(dir),
+			OnApplied: func(e channel.Entry, b []byte) error {
+				got = append(got, append([]byte(nil), b...))
+				names = append(names, e.Name)
+				return nil
+			},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,27 +98,21 @@ func TestSubscribeNoCompileWarmStore(t *testing.T) {
 		// The subscriber machine starts from a store that has never seen
 		// a compiler run — everything it knows came over the channel.
 		prev := srctree.SetStore(store.MustNew(store.Options{}))
-		st := channel.InstallPrebuilt(context.Background(), tr, m, channel.NewMemBlobCache())
-		if st.Failed != 0 || st.Installed == 0 {
+		m, st, err := cl.InstallBase(context.Background())
+		if err != nil || st.Failed != 0 || st.Installed != len(m.Prebuilt) {
 			srctree.SetStore(prev)
-			t.Fatalf("%s: install over a clean transport: %+v", version, st)
+			t.Fatalf("%s: install over a clean transport: %+v, %v", version, st, err)
 		}
 
 		before := srctree.Counters()
 		k, mgr := bootCached(t, version)
-		var got [][]byte
-		var names []string
-		applied, err := channel.Subscribe(context.Background(), tr, mgr, 0, channel.SubscribeOptions{
-			OnApplied: func(e channel.Entry, b []byte) error {
-				got = append(got, append([]byte(nil), b...))
-				names = append(names, e.Name)
-				return nil
-			},
-		})
+		cl.Bind(mgr, 0)
+		applied, err := cl.Sync(context.Background())
 		after := srctree.Counters()
 		srctree.SetStore(prev)
+		cl.Close()
 		if err != nil {
-			t.Fatalf("%s: subscribe: %v", version, err)
+			t.Fatalf("%s: sync: %v", version, err)
 		}
 		if len(applied) != len(cves) || len(mgr.Applied()) != len(cves) {
 			t.Fatalf("%s: applied %d of %d updates", version, len(applied), len(cves))
@@ -144,29 +147,34 @@ func TestSubscribeNoCompileWarmStore(t *testing.T) {
 	}
 }
 
-// TestInstallPrebuiltDegradesToSourceBuild: artifact blobs corrupted and
+// TestInstallPrebuiltDegradesToSourceBuild: base-set blobs corrupted and
 // erroring in flight are skipped — the machine compiles those units from
-// source and the subscribe still reaches the channel head.
+// source and the sync still reaches the channel head.
 func TestInstallPrebuiltDegradesToSourceBuild(t *testing.T) {
 	version := cvedb.Versions[0]
 	dir, _ := publishRelease(t, version)
-	m, err := channel.ReadManifest(dir)
+	// Plan ops are 1-based: op 1 is InstallBase's manifest fetch, the
+	// rest its FetchBlobs. Corrupt the first blob, error the second,
+	// truncate the third. All three artifacts must fail closed.
+	plan := faultinject.New(
+		faultinject.Fault{Op: 2, Kind: faultinject.FlipBit, Offset: 10, Bit: 3},
+		faultinject.Fault{Op: 3, Kind: faultinject.Error},
+		faultinject.Fault{Op: 4, Kind: faultinject.Truncate, Offset: 5},
+	)
+	cl, err := channel.NewClient(channel.ClientConfig{
+		Transport: faultinject.WrapTransport(channel.NewDirTransport(dir), plan),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Install ops are all FetchBlob (plan ops are 1-based): corrupt the
-	// first blob, error the second, truncate the third. All three
-	// artifacts must fail closed.
-	plan := faultinject.New(
-		faultinject.Fault{Op: 1, Kind: faultinject.FlipBit, Offset: 10, Bit: 3},
-		faultinject.Fault{Op: 2, Kind: faultinject.Error},
-		faultinject.Fault{Op: 3, Kind: faultinject.Truncate, Offset: 5},
-	)
-	tr := faultinject.WrapTransport(channel.NewDirTransport(dir), plan)
+	defer cl.Close()
 
 	prev := srctree.SetStore(store.MustNew(store.Options{}))
 	defer srctree.SetStore(prev)
-	st := channel.InstallPrebuilt(context.Background(), tr, m, channel.NewMemBlobCache())
+	_, st, err := cl.InstallBase(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if st.Failed != 3 {
 		t.Fatalf("3 faulted artifact fetches, %d failures recorded (%+v)", st.Failed, st)
 	}
@@ -175,19 +183,73 @@ func TestInstallPrebuiltDegradesToSourceBuild(t *testing.T) {
 	}
 
 	// Boot compiles exactly what failed to arrive, nothing more — and the
-	// subscribe (whose own install pass heals the gaps) reaches the head.
+	// sync reaches the head.
 	before := srctree.Counters()
 	_, mgr := bootCached(t, version)
-	applied, err := channel.Subscribe(context.Background(), channel.NewDirTransport(dir), mgr, 0, channel.SubscribeOptions{})
+	applied, err := channel.SyncOnce(context.Background(), channel.ClientConfig{Transport: channel.NewDirTransport(dir)}, mgr, 0)
 	after := srctree.Counters()
 	if err != nil {
-		t.Fatalf("subscribe after degraded install: %v", err)
+		t.Fatalf("sync after degraded install: %v", err)
 	}
 	if want := len(cvedb.ForVersion(version)); len(applied) != want {
 		t.Fatalf("applied %d of %d", len(applied), want)
 	}
 	if n := after.UnitMisses - before.UnitMisses + after.LinkMisses - before.LinkMisses; n == 0 || n > 3 {
 		t.Errorf("source fallback built %d artifacts, want 1..3 (exactly the failed ones)", n)
+	}
+}
+
+// TestPrebuiltChannelHoldsWhatSubscribersInstall pins what a prebuilt
+// channel publishes: the base set and one delta per tarball, nothing a
+// subscriber does not install. blobs/ holds exactly those, every delta
+// reconstructs a published tarball from the one before it, and no
+// publish after the first links a kernel image.
+func TestPrebuiltChannelHoldsWhatSubscribersInstall(t *testing.T) {
+	version := cvedb.Versions[0]
+	cves := cvedb.ForVersion(version)[:4]
+	// A fresh store, so a link the publisher does shows as a miss rather
+	// than hitting an image an earlier test left behind.
+	prev := srctree.SetStore(store.MustNew(store.Options{}))
+	defer srctree.SetStore(prev)
+	dir := t.TempDir()
+	pub, err := channel.NewPublisher(dir, cvedb.Tree(version))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cves {
+		before := srctree.Counters()
+		if _, err := pub.Publish("ksplice-"+c.ID, c.ID, c.Patch()); err != nil {
+			t.Fatal(err)
+		}
+		if n := srctree.Counters().LinkMisses - before.LinkMisses; i > 0 && n != 0 {
+			t.Errorf("publish %d linked %d kernel images, want 0", i+1, n)
+		}
+	}
+	m, err := channel.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Prebuilt) == 0 || len(m.Deltas) != len(cves)-1 {
+		t.Fatalf("%d base artifacts and %d deltas for %d updates", len(m.Prebuilt), len(m.Deltas), len(cves))
+	}
+	blobs, err := os.ReadDir(filepath.Join(dir, "blobs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(m.Prebuilt) + len(m.Deltas); len(blobs) != want {
+		t.Errorf("blobs/ holds %d files, want %d base artifacts + %d deltas", len(blobs), len(m.Prebuilt), len(m.Deltas))
+	}
+	pos := map[string]int{}
+	for j, e := range m.Updates {
+		pos[e.Sha256] = j
+	}
+	for _, d := range m.Deltas {
+		j, ok := pos[d.ResultSha256]
+		if !ok {
+			t.Errorf("delta %.12s reconstructs %.12s, which is no published tarball", d.Sha256, d.ResultSha256)
+		} else if j == 0 || m.Updates[j-1].Sha256 != d.BaseSha256 {
+			t.Errorf("delta onto position %d does not base on the tarball before it", j+1)
+		}
 	}
 }
 
@@ -200,21 +262,21 @@ func TestSubscribeDeltaCorruptFallsBackFull(t *testing.T) {
 	reg := telemetry.Default()
 	before := reg.Snapshot()
 
-	// Subscriber op sequence (NoPrebuilt, 1-based): Manifest=1, entry0
-	// Fetch=2, entry1 delta FetchBlob=3 — corrupt that one.
+	// Sync op sequence (1-based): Manifest=1, entry0 Fetch=2, entry1
+	// delta FetchBlob=3 — corrupt that one.
 	plan := faultinject.New(faultinject.Fault{Op: 3, Kind: faultinject.FlipBit, Offset: 30, Bit: 6})
 	tr := faultinject.WrapTransport(channel.NewDirTransport(dir), plan)
 	_, mgr := bootRelease(t, version)
 	var got [][]byte
 	var names []string
-	applied, err := channel.Subscribe(context.Background(), tr, mgr, 0, channel.SubscribeOptions{
-		NoPrebuilt: true,
+	applied, err := channel.SyncOnce(context.Background(), channel.ClientConfig{
+		Transport: tr,
 		OnApplied: func(e channel.Entry, b []byte) error {
 			got = append(got, append([]byte(nil), b...))
 			names = append(names, e.Name)
 			return nil
 		},
-	})
+	}, mgr, 0)
 	if err != nil {
 		t.Fatalf("subscribe under delta corruption: %v", err)
 	}
@@ -247,10 +309,10 @@ func TestSubscribeMissingBaseFallsBackFull(t *testing.T) {
 	reg := telemetry.Default()
 	before := reg.Snapshot()
 	_, mgr := bootRelease(t, version)
-	applied, err := channel.Subscribe(context.Background(), channel.NewDirTransport(dir), mgr, 0, channel.SubscribeOptions{
-		NoPrebuilt: true,
-		Blobs:      nullBlobCache{},
-	})
+	applied, err := channel.SyncOnce(context.Background(), channel.ClientConfig{
+		Transport: channel.NewDirTransport(dir),
+		Blobs:     nullBlobCache{},
+	}, mgr, 0)
 	if err != nil {
 		t.Fatalf("subscribe with no delta bases: %v", err)
 	}
@@ -268,9 +330,9 @@ func TestSubscribeMissingBaseFallsBackFull(t *testing.T) {
 }
 
 // TestPublisherResumeContinuesDeltas: a publisher reopened over an
-// existing prebuilt channel keeps the delta chain and the advertised
-// unit set consistent — the new position deltas against the last old
-// one, and already-advertised units are not re-advertised.
+// existing prebuilt channel keeps the delta chain and the base set
+// consistent — the new position deltas against the last old one, and
+// the base set is not exported again.
 func TestPublisherResumeContinuesDeltas(t *testing.T) {
 	version := cvedb.Versions[3]
 	cves := cvedb.ForVersion(version)
@@ -306,15 +368,10 @@ func TestPublisherResumeContinuesDeltas(t *testing.T) {
 	} else if d.BaseSha256 != m.Updates[1].Sha256 {
 		t.Error("post-resume tarball delta does not base on the previous position")
 	}
-	// No unit store key is advertised twice.
+	// No store key is advertised twice.
 	seen := map[string]int{}
 	for _, a := range m.Prebuilt {
 		seen[a.StoreKey]++
-	}
-	for _, e := range m.Updates {
-		for _, a := range e.Artifacts {
-			seen[a.StoreKey]++
-		}
 	}
 	for key, n := range seen {
 		if n > 1 {
@@ -329,7 +386,7 @@ func TestPublisherResumeContinuesDeltas(t *testing.T) {
 func subscribeHead(t *testing.T, dir, version string, want int) {
 	t.Helper()
 	_, mgr := bootRelease(t, version)
-	applied, err := channel.SubscribeDir(dir, mgr, 0, channel.SubscribeOptions{})
+	applied, err := channel.SyncOnce(context.Background(), channel.ClientConfig{Transport: channel.NewDirTransport(dir)}, mgr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

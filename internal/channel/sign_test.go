@@ -4,6 +4,7 @@
 package channel_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -58,7 +59,7 @@ func TestSignedChannelSubscribe(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, mgr := bootRelease(t, version)
-	applied, err := channel.SubscribeDir(dir, mgr, 0, channel.SubscribeOptions{VerifyKey: vk})
+	applied, err := channel.SyncOnce(context.Background(), channel.ClientConfig{Transport: channel.NewDirTransport(dir), VerifyKey: vk}, mgr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestSubscribeRefusesUnsignedWhenPinned(t *testing.T) {
 	dir, _ := publishRelease(t, version) // unsigned
 	_, vk := mustKeyPair(t)
 	_, mgr := bootRelease(t, version)
-	applied, err := channel.SubscribeDir(dir, mgr, 0, channel.SubscribeOptions{VerifyKey: vk})
+	applied, err := channel.SyncOnce(context.Background(), channel.ClientConfig{Transport: channel.NewDirTransport(dir), VerifyKey: vk}, mgr, 0)
 	if err == nil || !strings.Contains(err.Error(), "unsigned") {
 		t.Fatalf("unsigned manifest accepted under a pinned key: %v", err)
 	}
@@ -93,7 +94,7 @@ func TestSubscribeRefusesWrongKey(t *testing.T) {
 	dir, _, _ := publishSigned(t, version, 1)
 	_, otherPub := mustKeyPair(t)
 	_, mgr := bootRelease(t, version)
-	if _, err := channel.SubscribeDir(dir, mgr, 0, channel.SubscribeOptions{VerifyKey: otherPub}); err == nil {
+	if _, err := channel.SyncOnce(context.Background(), channel.ClientConfig{Transport: channel.NewDirTransport(dir), VerifyKey: otherPub}, mgr, 0); err == nil {
 		t.Fatal("manifest signed by a different key was accepted")
 	}
 }

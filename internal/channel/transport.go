@@ -17,7 +17,7 @@ import (
 
 // Transport fetches a channel's manifest and tarballs. Implementations
 // deliver raw bytes and may retry internally, but they make no integrity
-// promise — Subscribe verifies every tarball against its manifest entry
+// promise — the Client verifies every tarball against its manifest entry
 // before the bytes are interpreted, so a Transport (or the network under
 // it) can be arbitrarily faulty without a corrupt update ever reaching
 // Apply.
@@ -238,7 +238,7 @@ func (t *httpTransport) Manifest(ctx context.Context) (*Manifest, error) {
 
 // Fetch downloads one tarball, resuming from the last good byte when the
 // body is cut short. It returns the accumulated bytes unverified —
-// Subscribe owns the digest check.
+// the Client owns the digest check.
 func (t *httpTransport) Fetch(ctx context.Context, e Entry) ([]byte, error) {
 	return t.download(ctx, "/updates/"+e.File, e.File, e.Size)
 }

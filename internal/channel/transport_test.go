@@ -3,6 +3,7 @@ package channel
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -77,7 +78,9 @@ func TestPublisherSweepsStrayTemps(t *testing.T) {
 }
 
 // TestManifestTamperDetected: the manifest's self-digest catches content
-// changes that are still valid JSON.
+// changes that are still valid JSON, and a manifest stripped of its
+// digest, or an entry stripped of its own, is refused rather than
+// accepted unverified.
 func TestManifestTamperDetected(t *testing.T) {
 	dir, _, _ := publishOne(t, cvedb.Versions[0])
 	path := filepath.Join(dir, manifestName)
@@ -85,12 +88,50 @@ func TestManifestTamperDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	m, err := DecodeManifest(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// restamp re-encodes m with a freshly computed self-digest, so only
+	// the stripped field is wrong.
+	restamp := func(m Manifest) []byte {
+		m.Digest = ""
+		d, err := m.computeDigest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Digest = d
+		out, err := json.Marshal(&m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	noDigest := *m
+	noDigest.Digest = ""
+	stripped, err := json.Marshal(&noDigest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noEntryDigest := *m
+	noEntryDigest.Updates = []Entry{m.Updates[0]}
+	noEntryDigest.Updates[0].Sha256 = ""
+	noArtifactSize := *m
+	noArtifactSize.Prebuilt = append([]Artifact(nil), m.Prebuilt...)
+	noArtifactSize.Prebuilt[0].Size = 0
 	tampered := bytes.Replace(b, []byte(`"name": "u0"`), []byte(`"name": "uX"`), 1)
 	if bytes.Equal(tampered, b) {
 		t.Fatal("tamper did not change the manifest")
 	}
-	if _, err := DecodeManifest(tampered); err == nil {
-		t.Error("tampered manifest passed verification")
+	for name, in := range map[string][]byte{
+		"renamed entry":      tampered,
+		"stripped digest":    stripped,
+		"entry without sha":  restamp(noEntryDigest),
+		"artifact size zero": restamp(noArtifactSize),
+	} {
+		if _, err := DecodeManifest(in); err == nil {
+			t.Errorf("%s: manifest passed verification", name)
+		}
 	}
 	if err := os.WriteFile(path, tampered, 0o644); err != nil {
 		t.Fatal(err)
@@ -128,7 +169,7 @@ func TestCorruptTarballNeverApplied(t *testing.T) {
 				t.Fatal(err)
 			}
 			k, mgr := bootManager(t, version)
-			applied, err := SubscribeDir(dir, mgr, 0, SubscribeOptions{})
+			applied, err := SyncOnce(context.Background(), ClientConfig{Transport: NewDirTransport(dir)}, mgr, 0)
 			if err == nil || len(applied) != 0 {
 				t.Fatalf("corrupt tarball applied: %d updates, err=%v", len(applied), err)
 			}
@@ -169,7 +210,7 @@ func TestSubscribeMissingTarball(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, mgr := bootManager(t, cvedb.Versions[0])
-	_, err = SubscribeDir(dir, mgr, 0, SubscribeOptions{})
+	_, err = SyncOnce(context.Background(), ClientConfig{Transport: NewDirTransport(dir)}, mgr, 0)
 	pe, ok := IsPosition(err)
 	if !ok || pe.Position != 0 {
 		t.Fatalf("missing tarball: err=%v, want PositionError at 0", err)
@@ -212,7 +253,7 @@ func TestSubscribeRefetchRecovers(t *testing.T) {
 		return raw, nil
 	}}
 	k, mgr := bootManager(t, version)
-	applied, err := Subscribe(context.Background(), ft, mgr, 0, SubscribeOptions{})
+	applied, err := SyncOnce(context.Background(), ClientConfig{Transport: ft}, mgr, 0)
 	if err != nil || len(applied) != 1 {
 		t.Fatalf("subscribe: %d applied, err=%v", len(applied), err)
 	}
@@ -251,7 +292,7 @@ func TestSubscribeUnreachableMidway(t *testing.T) {
 		return inner.Fetch(context.Background(), e)
 	}}
 	k, mgr := bootManager(t, version)
-	applied, err := Subscribe(context.Background(), ft, mgr, 0, SubscribeOptions{})
+	applied, err := SyncOnce(context.Background(), ClientConfig{Transport: ft}, mgr, 0)
 	if len(applied) != 1 {
 		t.Fatalf("applied %d updates before the outage, want 1", len(applied))
 	}
@@ -267,7 +308,7 @@ func TestSubscribeUnreachableMidway(t *testing.T) {
 		t.Errorf("u1 probe = %d, want still-vulnerable %d", got, cves[1].Probe.VulnResult)
 	}
 	// Resuming from the reported position finishes the job.
-	if more, err := SubscribeDir(dir, mgr, pe.Position, SubscribeOptions{}); err != nil || len(more) != 1 {
+	if more, err := SyncOnce(context.Background(), ClientConfig{Transport: NewDirTransport(dir)}, mgr, pe.Position); err != nil || len(more) != 1 {
 		t.Fatalf("resume from position %d: %d applied, err=%v", pe.Position, len(more), err)
 	}
 	if got := runProbe(t, k, cves[1]); got != cves[1].Probe.FixedResult {
@@ -388,9 +429,12 @@ func TestHTTPTransportResumesTruncatedBody(t *testing.T) {
 }
 
 // TestServerRoutes: the manifest, name-addressed, and digest-addressed
-// routes serve exactly the published bytes; anything else is a 404.
+// routes serve exactly the published bytes; anything else is a 404. An
+// update published while the server runs is served by the very next
+// requests, with no restart.
 func TestServerRoutes(t *testing.T) {
-	dir, _, raw := publishOne(t, cvedb.Versions[0])
+	version := cvedb.Versions[0]
+	dir, _, raw := publishOne(t, version)
 	m, err := ReadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -423,5 +467,43 @@ func TestServerRoutes(t *testing.T) {
 		if code, _ := get(path); code != 404 {
 			t.Errorf("GET %s: %d, want 404", path, code)
 		}
+	}
+
+	// Append one more update through a second publisher while the same
+	// server keeps running.
+	pub, err := NewPublisher(dir, cvedb.Tree(version))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := cvedb.ForVersion(version)[1]
+	if _, err := pub.Publish("u1", c.ID, c.Patch()); err != nil {
+		t.Fatal(err)
+	}
+	code, b := get("/channel.json")
+	if code != 200 {
+		t.Fatalf("manifest after append: %d", code)
+	}
+	m2, err := DecodeManifest(b)
+	if err != nil {
+		t.Fatalf("manifest after append does not verify: %v", err)
+	}
+	if len(m2.Updates) != 2 {
+		t.Fatalf("manifest after append names %d updates, want 2", len(m2.Updates))
+	}
+	e = m2.Updates[1]
+	raw, err = os.ReadFile(filepath.Join(dir, e.File))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, b := get("/updates/" + e.File); code != 200 || !bytes.Equal(b, raw) {
+		t.Errorf("appended update by name: %d, %d bytes", code, len(b))
+	}
+	if code, b := get("/blob/" + e.Sha256); code != 200 || !bytes.Equal(b, raw) {
+		t.Errorf("appended update by digest: %d, %d bytes", code, len(b))
+	}
+	if d := m2.DeltaFor(e.Sha256); d == nil {
+		t.Error("appended update has no delta")
+	} else if code, b := get("/blob/" + d.Sha256); code != 200 || int64(len(b)) != d.Size {
+		t.Errorf("appended update's delta: %d, %d bytes", code, len(b))
 	}
 }

@@ -49,8 +49,14 @@ const (
 	opCopy byte = 0x01
 	opLit  byte = 0x02
 
-	// deltaMaxTarget bounds the decoder's allocation; no blob in the
-	// system is near it.
+	// opMaxOverhead is the most op-stream bytes one op spends beyond the
+	// bytes it produces: an opcode and two uvarints. Every op produces
+	// at least one byte, so a target of n bytes needs at most
+	// n*(1+opMaxOverhead) op bytes.
+	opMaxOverhead = 1 + 2*binary.MaxVarintLen64
+
+	// deltaMaxTarget bounds the target size the decoder accepts; no blob
+	// in the system is near it.
 	deltaMaxTarget = 1 << 30
 )
 
@@ -151,12 +157,16 @@ func MakeDelta(base, target []byte) []byte {
 }
 
 // ApplyDelta reconstructs the target blob from base and a delta produced
-// by MakeDelta. It verifies everything before handing bytes back: the
-// base digest embedded in the delta must match the supplied base (a
-// mismatch is a *DeltaBaseError), and the reconstruction must hash to
-// the embedded target digest — a truncated or bit-flipped delta returns
-// an error, never wrong bytes.
-func ApplyDelta(base, delta []byte) ([]byte, error) {
+// by MakeDelta. size is the length the caller expects the target to
+// have (from a trusted source, such as a verified manifest); it bounds
+// every allocation, so a hostile delta cannot make the decoder allocate
+// more than the target it was promised. It verifies everything before
+// handing bytes back: the base digest embedded in the delta must match
+// the supplied base (a mismatch is a *DeltaBaseError), the declared
+// target length must be size, and the reconstruction must hash to the
+// embedded target digest — a truncated or bit-flipped delta returns an
+// error, never wrong bytes.
+func ApplyDelta(base, delta []byte, size int64) ([]byte, error) {
 	if len(delta) < deltaHeaderLen+1 || string(delta[:4]) != deltaMagic {
 		return nil, ErrNotDelta
 	}
@@ -170,12 +180,19 @@ func ApplyDelta(base, delta []byte) ([]byte, error) {
 	}
 	rest := delta[deltaHeaderLen:]
 	targetLen, n := binary.Uvarint(rest)
-	if n <= 0 || targetLen > deltaMaxTarget {
+	if n <= 0 {
 		return nil, fmt.Errorf("diffutil: delta header corrupt")
 	}
-	ops, err := io.ReadAll(flate.NewReader(bytes.NewReader(rest[n:])))
+	if size < 0 || size > deltaMaxTarget || targetLen != uint64(size) {
+		return nil, fmt.Errorf("diffutil: delta declares a %d-byte target, want %d", targetLen, size)
+	}
+	limit := size * (1 + opMaxOverhead)
+	ops, err := io.ReadAll(io.LimitReader(flate.NewReader(bytes.NewReader(rest[n:])), limit+1))
 	if err != nil {
 		return nil, fmt.Errorf("diffutil: delta op stream corrupt: %w", err)
+	}
+	if int64(len(ops)) > limit {
+		return nil, fmt.Errorf("diffutil: delta op stream exceeds %d bytes for a %d-byte target", limit, size)
 	}
 
 	out := make([]byte, 0, targetLen)
@@ -193,6 +210,9 @@ func ApplyDelta(base, delta []byte) ([]byte, error) {
 				return nil, fmt.Errorf("diffutil: delta copy op corrupt")
 			}
 			ops = ops[n1+n2:]
+			if length == 0 {
+				return nil, fmt.Errorf("diffutil: delta copy op is empty")
+			}
 			end := off + length
 			if end < off || end > uint64(len(base)) {
 				return nil, fmt.Errorf("diffutil: delta copy [%d,%d) outside %d-byte base", off, end, len(base))
@@ -200,7 +220,7 @@ func ApplyDelta(base, delta []byte) ([]byte, error) {
 			out = append(out, base[off:end]...)
 		case opLit:
 			length, n1 := binary.Uvarint(ops)
-			if n1 <= 0 || length > uint64(len(ops)-n1) {
+			if n1 <= 0 || length == 0 || length > uint64(len(ops)-n1) {
 				return nil, fmt.Errorf("diffutil: delta literal op corrupt")
 			}
 			out = append(out, ops[n1:n1+int(length)]...)

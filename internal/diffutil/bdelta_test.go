@@ -2,8 +2,12 @@ package diffutil
 
 import (
 	"bytes"
+	"compress/flate"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -74,7 +78,7 @@ func TestDeltaRoundTripProperty(t *testing.T) {
 			target = append([]byte(nil), base[rng.Intn(len(base)+1):]...)
 		}
 		d := MakeDelta(base, target)
-		got, err := ApplyDelta(base, d)
+		got, err := ApplyDelta(base, d, int64(len(target)))
 		if err != nil {
 			t.Fatalf("trial %d: ApplyDelta: %v (base=%d target=%d delta=%d)", trial, err, len(base), len(target), len(d))
 		}
@@ -98,7 +102,7 @@ func TestDeltaEdgeCases(t *testing.T) {
 	}
 	for i, c := range cases {
 		d := MakeDelta(c.base, c.target)
-		got, err := ApplyDelta(c.base, d)
+		got, err := ApplyDelta(c.base, d, int64(len(c.target)))
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -129,7 +133,7 @@ func TestDeltaWrongBaseRefused(t *testing.T) {
 	d := MakeDelta(base, target)
 	wrong := append([]byte(nil), base...)
 	wrong[100] ^= 1
-	_, err := ApplyDelta(wrong, d)
+	_, err := ApplyDelta(wrong, d, int64(len(target)))
 	var be *DeltaBaseError
 	if !errors.As(err, &be) {
 		t.Fatalf("wrong base: got %v, want *DeltaBaseError", err)
@@ -149,18 +153,18 @@ func TestDeltaCorruptionRefused(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		c := append([]byte(nil), d...)
 		c[rng.Intn(len(c))] ^= 1 << rng.Intn(8)
-		got, err := ApplyDelta(base, c)
+		got, err := ApplyDelta(base, c, int64(len(target)))
 		if err == nil && !bytes.Equal(got, target) {
 			t.Fatalf("bit-flipped delta reconstructed wrong bytes without error")
 		}
 	}
 	for cut := 0; cut < len(d); cut += 7 {
-		got, err := ApplyDelta(base, d[:cut])
+		got, err := ApplyDelta(base, d[:cut], int64(len(target)))
 		if err == nil && !bytes.Equal(got, target) {
 			t.Fatalf("delta truncated to %d bytes reconstructed wrong bytes without error", cut)
 		}
 	}
-	if _, err := ApplyDelta(base, []byte("not a delta at all")); !errors.Is(err, ErrNotDelta) {
+	if _, err := ApplyDelta(base, []byte("not a delta at all"), int64(len(target))); !errors.Is(err, ErrNotDelta) {
 		t.Fatalf("garbage input: got %v, want ErrNotDelta", err)
 	}
 }
@@ -176,5 +180,62 @@ func TestDeltaDeterministic(t *testing.T) {
 	d2 := MakeDelta(base, target)
 	if !bytes.Equal(d1, d2) {
 		t.Fatal("MakeDelta is not deterministic")
+	}
+}
+
+// hostileDelta assembles a GSD1 delta against base that declares a
+// targetLen-byte target with digest target, and carries ops as its
+// (compressed) op stream.
+func hostileDelta(base []byte, target [sha256.Size]byte, targetLen uint64, ops []byte) []byte {
+	sum := sha256.Sum256(base)
+	d := append([]byte(deltaMagic), sum[:]...)
+	d = append(d, target[:]...)
+	d = binary.AppendUvarint(d, targetLen)
+	var buf bytes.Buffer
+	w, _ := flate.NewWriter(&buf, flate.BestCompression)
+	w.Write(ops)
+	w.Close()
+	return append(d, buf.Bytes()...)
+}
+
+// TestDeltaHostileSizeBounded: the decoder allocates by the size the
+// caller expects, never by what the delta claims. A tiny delta that
+// declares a 1 GiB target, one whose declared size is right but whose op
+// stream inflates to megabytes of empty ops, and an otherwise valid
+// delta carrying one empty op (which the op-stream bound assumes cannot
+// exist) are all refused, with well under 1 MiB allocated.
+func TestDeltaHostileSizeBounded(t *testing.T) {
+	base := []byte("the base blob")
+	const want = 100
+	target := bytes.Repeat([]byte{'x'}, want)
+	sum := sha256.Sum256(target)
+	lit := append([]byte{opLit, want}, target...)
+	cases := []struct {
+		name  string
+		delta []byte
+	}{
+		{"declares 1 GiB", hostileDelta(base, sum, 1<<30, lit)},
+		{"empty-op bomb", hostileDelta(base, sum, want, bytes.Repeat([]byte{opLit, 0}, 4<<20))},
+		{"one empty op", hostileDelta(base, sum, want, append([]byte{opCopy, 0, 0}, lit...))},
+	}
+	if got, err := ApplyDelta(base, hostileDelta(base, sum, want, lit), want); err != nil || !bytes.Equal(got, target) {
+		t.Fatalf("the well-formed control delta does not apply: %v", err)
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if len(c.delta) > 64<<10 {
+				t.Fatalf("hostile delta is %d bytes; it should be tiny", len(c.delta))
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := ApplyDelta(base, c.delta, want)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatal("hostile delta accepted")
+			}
+			if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+				t.Errorf("refusing it allocated %d bytes, want under 1 MiB", n)
+			}
+		})
 	}
 }

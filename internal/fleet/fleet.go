@@ -145,7 +145,8 @@ type Config struct {
 	// WorkDir roots published channels when ChannelDirs does not supply
 	// them (required then).
 	WorkDir string
-	// NoPrebuilt disables prebuilt artifact installs fleet-wide.
+	// NoPrebuilt publishes source-only channels: no prebuilt artifacts
+	// and no tarball deltas.
 	NoPrebuilt bool
 	// EventLog, when non-empty, is a file path the rollout's typed event
 	// timeline is journaled to as JSONL (one event per line, the same
@@ -474,7 +475,7 @@ func (o *Orchestrator) newMember(idx, ring int, burst bool) (*member, error) {
 	m.reg.Help(channel.MetricStressFailures, "post-apply stress probes that failed")
 	m.stress = m.reg.Counter(channel.MetricStressFailures)
 
-	tr := channel.NewHTTPTransport(o.urls[rel], channel.HTTPOptions{
+	var tr channel.Transport = channel.NewHTTPTransport(o.urls[rel], channel.HTTPOptions{
 		Timeout:    10 * time.Second,
 		MaxRetries: 6,
 		Backoff:    time.Millisecond,
@@ -493,13 +494,15 @@ func (o *Orchestrator) newMember(idx, ring int, burst bool) (*member, error) {
 	} else if o.cfg.FaultPlan != nil {
 		plan = o.cfg.FaultPlan(idx)
 	}
+	if plan != nil {
+		tr = faultinject.WrapTransport(tr, plan)
+	}
 	cfg := channel.ClientConfig{
-		Name:       m.name,
-		Transport:  tr,
-		Registry:   m.reg,
-		Tracer:     m.tracer,
-		Apply:      o.cfg.Apply,
-		NoPrebuilt: o.cfg.NoPrebuilt,
+		Name:      m.name,
+		Transport: tr,
+		Registry:  m.reg,
+		Tracer:    m.tracer,
+		Apply:     o.cfg.Apply,
 		OnApplied: func(channel.Entry, []byte) error {
 			m.mu.Lock()
 			m.applies++
@@ -513,11 +516,6 @@ func (o *Orchestrator) newMember(idx, ring int, burst bool) (*member, error) {
 			}
 			return nil
 		},
-	}
-	if plan != nil {
-		cfg.WrapTransport = func(t channel.Transport) channel.Transport {
-			return faultinject.WrapTransport(t, plan)
-		}
 	}
 	if o.cfg.SlowEvery > 0 && idx%o.cfg.SlowEvery == o.cfg.SlowEvery-1 {
 		cfg.Throttle = o.cfg.Throttle
